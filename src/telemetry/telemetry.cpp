@@ -92,7 +92,6 @@ void write_json(std::ostream& out, const PassStats& s, bool include_timing) {
       << ",\"erases\":" << s.ops.erases << ",\"updates\":" << s.ops.updates
       << "}";
   out << ",\"refresh_skips\":" << s.refresh_skips;
-  out << ",\"rounds\":" << s.rounds;
   out << ",\"audits\":" << s.audits;
   out << ",\"resyncs\":" << s.resyncs;
   out << ",\"max_gain_drift\":";

@@ -69,14 +69,10 @@ TEST(RunnerTiming, WallAndCpuFieldsAreSplitAndAliased) {
   EXPECT_GE(r.total_cpu_seconds, 0.0);
   EXPECT_DOUBLE_EQ(r.wall_seconds_per_run, r.total_wall_seconds / 3);
   EXPECT_DOUBLE_EQ(r.cpu_seconds_per_run, r.total_cpu_seconds / 3);
-  // The deprecated names alias the CPU fields (Table 4's paper metric).
-  EXPECT_DOUBLE_EQ(r.total_seconds, r.total_cpu_seconds);
-  EXPECT_DOUBLE_EQ(r.seconds_per_run, r.cpu_seconds_per_run);
   double cpu_sum = 0.0;
   for (const RunRecord& rec : r.records) {
     EXPECT_GE(rec.wall_seconds, 0.0);
     EXPECT_GE(rec.cpu_seconds, 0.0);
-    EXPECT_DOUBLE_EQ(rec.seconds, rec.cpu_seconds);
     cpu_sum += rec.cpu_seconds;
   }
   EXPECT_DOUBLE_EQ(r.total_cpu_seconds, cpu_sum);
@@ -96,7 +92,6 @@ TEST(RunnerStatsJson, DoublesRoundTripAtFullPrecision) {
   rec.cut = 1.0 / 3.0;
   rec.wall_seconds = 0.123456789012345678;
   rec.cpu_seconds = 1e-9 + 1e-18;
-  rec.seconds = rec.cpu_seconds;
   r.records.push_back(rec);
 
   std::ostringstream out;
@@ -125,8 +120,7 @@ TEST(RunnerStatsJson, TimingKeysAreGatedByOptions) {
   const std::string timed = with_timing.str();
   for (const char* key :
        {"total_wall_seconds", "total_cpu_seconds", "wall_seconds_per_run",
-        "cpu_seconds_per_run", "total_seconds", "seconds_per_run",
-        "wall_seconds", "cpu_seconds"}) {
+        "cpu_seconds_per_run", "wall_seconds", "cpu_seconds"}) {
     EXPECT_NE(timed.find("\"" + std::string(key) + "\":"), std::string::npos)
         << key;
   }
