@@ -81,6 +81,10 @@ echo "== k-way smoke (asan+ubsan) =="
   > /dev/null
 ./build-asan/tools/prop_cli --circuit p1 --k 8 --multilevel --runs 1 \
   > /dev/null
+# Shadow engine at k = 3: the KWayState instantiation of the gain
+# calculator cross-checks its cache against scratch on every query.
+./build-asan/tools/prop_cli --circuit p1 --algo prop --k 3 \
+  --gain-engine shadow --runs 1 > /dev/null
 
 # Service chaos soak under ASan+UBSan: a short fault-injected soak that
 # drives the admission queue past its limit.  The binary itself is the gate —

@@ -39,14 +39,6 @@ struct PropConfig {
   /// (tests/integration/engine_equivalence_test.cpp).
   GainEngine gain_engine = GainEngine::kCached;
 
-  /// Renormalization epoch of the cached engine: every (net, side) product
-  /// is recomputed exactly after this many incremental updates (see
-  /// ProbGainCalculator::kDefaultRenormInterval).  The resulting drift
-  /// bound composes with resync_interval and drift_hard_bound below —
-  /// product drift feeds gain drift, which the audit/resync machinery
-  /// already polices.
-  int renorm_interval = ProbGainCalculator::kDefaultRenormInterval;
-
   /// Number of top-ranked nodes per side whose gains are recomputed after
   /// every move ("a few, say, five, of the top ranked nodes", Sec. 3.4).
   int top_update_width = 5;
@@ -80,15 +72,14 @@ struct PropConfig {
   const RunContext* context = nullptr;
 
   /// Degradation chain for probabilistic-gain drift.  When an audit
-  /// observes max |incremental - scratch| drift above this bound (or the
-  /// prop-drift fault fires), the pass performs an *emergency resync* of
-  /// gains[] — the same sweep as resync_interval, just demand-driven.
-  /// After `max_emergency_resyncs` of those in one refine call the
-  /// probabilistic bookkeeping is deemed untrustworthy: the current pass is
-  /// rolled back to its best prefix and refinement finishes with
-  /// deterministic FM passes instead.  <= 0 disables the drift check
-  /// (injection still works).
-  double drift_hard_bound = 1e-3;
+  /// observes max |incremental - scratch| drift above a fixed hard bound
+  /// (kDriftHardBound in prop_partitioner.cpp) or the prop-drift fault
+  /// fires, the pass performs an *emergency resync* of gains[] — the same
+  /// sweep as resync_interval, just demand-driven.  After
+  /// `max_emergency_resyncs` of those in one refine call the probabilistic
+  /// bookkeeping is deemed untrustworthy: the current pass is rolled back
+  /// to its best prefix and refinement finishes with deterministic FM
+  /// passes instead.
   int max_emergency_resyncs = 3;
 };
 

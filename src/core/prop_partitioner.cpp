@@ -22,6 +22,11 @@ constexpr double kEps = 1e-9;
 /// refresh-node tree updates).
 constexpr double kGainEps = 1e-12;
 
+/// Audited gain drift above this bound triggers an emergency resync
+/// (PropConfig::max_emergency_resyncs).  Cache drift between epoch
+/// renormalizations is ~1e-14, so only real divergence reaches it.
+constexpr double kDriftHardBound = 1e-3;
+
 }  // namespace
 
 PropRefiner::PropRefiner(Partition& part, const BalanceConstraint& balance,
@@ -29,7 +34,7 @@ PropRefiner::PropRefiner(Partition& part, const BalanceConstraint& balance,
     : part_(&part),
       balance_(&balance),
       config_(&config),
-      calc_(part, config.gain_engine, config.renorm_interval),
+      calc_(part, config.gain_engine),
       side0_(part.graph().num_nodes()),
       side1_(part.graph().num_nodes()),
       gains_(part.graph().num_nodes(), 0.0),
@@ -348,8 +353,7 @@ double PropRefiner::run_pass(PassStats* stats) {
     // sweep as resync_interval, just demand-driven; past
     // max_emergency_resyncs the engine gives up on probabilistic gains and
     // requests the deterministic-FM fallback.
-    bool drift_blowup = config.drift_hard_bound > 0 &&
-                        observed_drift > config.drift_hard_bound;
+    bool drift_blowup = observed_drift > kDriftHardBound;
     if (ctx && ctx->inject(FaultSite::kPropDrift)) drift_blowup = true;
     if (drift_blowup) {
       ++emergency_resyncs_;

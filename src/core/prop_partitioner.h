@@ -49,7 +49,7 @@ class PropRefiner {
   /// Emergency resyncs performed across all passes of this refiner.
   int emergency_resyncs() const noexcept { return emergency_resyncs_; }
 
-  const ProbGainCalculator& calculator() const noexcept { return calc_; }
+  const ProbGainCalculator<Partition>& calculator() const noexcept { return calc_; }
 
  private:
   using GainTree = AvlTree<double>;
@@ -62,7 +62,7 @@ class PropRefiner {
   Partition* part_;
   const BalanceConstraint* balance_;
   const PropConfig* config_;
-  ProbGainCalculator calc_;
+  ProbGainCalculator<Partition> calc_;
   GainTree side0_;
   GainTree side1_;
 

@@ -15,6 +15,9 @@
 #include "util/timer.h"
 
 namespace prop {
+
+template class ProbGainCalculator<KWayState>;
+
 namespace {
 
 // Same thresholds as the 2-way pass engine (core/prop_partitioner.cpp):
@@ -39,7 +42,7 @@ class PassEngine {
         state_(state),
         window_(window),
         config_(config),
-        calc_(state, config.gain_engine, config.renorm_interval),
+        calc_(state, config.gain_engine),
         tree_(g.num_nodes()),
         gains_(g.num_nodes()),
         stamp_(g.num_nodes(), 0) {
@@ -256,7 +259,7 @@ class PassEngine {
   KWayState& state_;
   const KWayBalanceWindow& window_;
   const KWayPropConfig& config_;
-  KWayProbGainCalculator calc_;
+  ProbGainCalculator<KWayState> calc_;
   GainTree tree_;
   std::vector<double> gains_;
   std::vector<std::uint32_t> stamp_;

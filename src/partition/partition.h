@@ -40,6 +40,14 @@ class Partition {
     return pin_count_[2 * n] > 0 && pin_count_[2 * n + 1] > 0;
   }
 
+  /// KWayState's names for the same state, so ProbGainCalculator<State>
+  /// reads one API for every k.  k() is a compile-time 2.
+  static constexpr NodeId k() noexcept { return 2; }
+  NodeId part(NodeId u) const noexcept { return sides_[u]; }
+  std::uint32_t pins_in(NetId n, NodeId p) const noexcept {
+    return pin_count_[2 * n + p];
+  }
+
   /// Sum of costs of cut nets.
   double cut_cost() const noexcept { return cut_cost_; }
 

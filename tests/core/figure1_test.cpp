@@ -18,7 +18,7 @@ class Figure1 : public ::testing::Test {
  protected:
   Figure1() : ex_(make_figure1_example()), part_(ex_.graph, ex_.side) {}
 
-  ProbGainCalculator make_calc() const {
+  ProbGainCalculator<Partition> make_calc() const {
     ProbGainCalculator calc(part_);
     for (NodeId u = 0; u < ex_.graph.num_nodes(); ++u) {
       calc.set_probability(u, ex_.initial_probability[u]);

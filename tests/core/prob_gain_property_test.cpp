@@ -1,11 +1,12 @@
 // Randomized property suite for the cached-product gain engine (DESIGN.md
 // Sec. 4f).  Drives thousands of random set_probability / lock / locked-move
 // operations — the exact mutation alphabet of a PROP pass — against a
-// ProbGainCalculator with a deliberately tiny renormalization epoch, and
-// checks the cache's contract at every step:
+// ProbGainCalculator with a deliberately tiny renormalization epoch, on a
+// 2-way Partition and on KWayStates with k = 3 and 5, and checks the
+// cache's contract at every step:
 //
-//   * gain(u) under kCached agrees with the scratch_gain(u) oracle within
-//     the drift bound at every sampled query;
+//   * gain(u, to) under kCached agrees with the scratch_gain(u, to) oracle
+//     within the drift bound at every sampled query;
 //   * max_product_drift() never exceeds kProductAuditTol between epochs;
 //   * renormalize_all() restores *bit-exact* agreement with an in-pin-order
 //     scratch recompute (max_product_drift() == 0.0, not merely small);
@@ -22,6 +23,7 @@
 
 #include "core/prop_partitioner.h"
 #include "hypergraph/generator.h"
+#include "kway/kway_state.h"
 #include "partition/initial.h"
 #include "partition/runner.h"
 #include "partition/validate.h"
@@ -47,16 +49,25 @@ double random_probability(Rng& rng) {
   return 0.01 + 0.99 * rng.uniform();
 }
 
-/// Runs `ops` random mutations with periodic consistency checkpoints.
-/// Returns the number of oracle comparisons performed (so tests can assert
-/// the sequence actually exercised the query path).
-int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
-                 int renorm_interval) {
-  const Hypergraph g = property_circuit(seed);
-  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
-  Rng rng(mix_seed(seed, 77));
-  Partition part(g, random_balanced_sides(g, balance, rng));
-  ProbGainCalculator calc(part, engine, renorm_interval);
+/// The one state-specific step of the mutation alphabet: move u to `to`.
+void move_node(Partition& part, NodeId u, NodeId /*to*/) { part.move(u); }
+void move_node(KWayState& state, NodeId u, NodeId to) { state.move(u, to); }
+
+/// Runs `ops` random mutations on `state` with periodic consistency
+/// checkpoints.  Returns the number of oracle comparisons performed (so
+/// tests can assert the sequence actually exercised the query path).
+template <typename State>
+int run_sequence_on(State& state, GainEngine engine, Rng& rng, int ops,
+                    int renorm_interval) {
+  using Calc = ProbGainCalculator<State>;
+  const Hypergraph& g = state.graph();
+  const NodeId k = state.k();
+  Calc calc(state, engine, renorm_interval);
+  // Target part of a move or query: derived from the node rather than
+  // drawn, so it consumes no RNG state.
+  const auto target = [&](NodeId u) {
+    return (state.part(u) + 1 + u % (k - 1)) % k;
+  };
 
   const NodeId n = g.num_nodes();
   const auto reinit = [&] {
@@ -81,68 +92,98 @@ int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
       if (calc.is_free(u)) calc.set_probability(u, random_probability(rng));
     } else if (r < 80) {
       if (calc.is_free(u)) {
-        // The pass engine's accepted-move protocol: lock, flip the
-        // partition, tell the calculator about the locked move.
-        const int from = part.side(u);
+        // The pass engine's accepted-move protocol: lock, move in the
+        // state, tell the calculator about the locked move.
+        const NodeId from = state.part(u);
+        const NodeId to = target(u);
         calc.lock(u);
-        part.move(u);
+        move_node(state, u, to);
         calc.move_locked(u, from);
         --free_count;
       }
     } else if (r < 90) {
       if (calc.is_free(u)) {
-        calc.lock(u);  // rejected-candidate lock: no side change
+        calc.lock(u);  // rejected-candidate lock: no part change
         --free_count;
       }
     } else {
       // Oracle comparison on a random node (locked nodes have gain too —
       // their probability is pinned at 0 but the query must still agree).
-      const double fast = calc.gain(u);
-      const double oracle = calc.scratch_gain(u);
-      const double tol = ProbGainCalculator::kProductAuditTol *
-                         static_cast<double>(g.degree(u) + 1);
+      const NodeId to = target(u);
+      const double fast = calc.gain(u, to);
+      const double oracle = calc.scratch_gain(u, to);
+      const double tol =
+          Calc::kProductAuditTol * static_cast<double>(g.degree(u) + 1);
       EXPECT_NEAR(fast, oracle, tol)
-          << "op " << op << " node " << u << " engine "
+          << "op " << op << " node " << u << " k " << k << " engine "
           << to_string(engine);
       ++comparisons;
     }
 
     if ((op + 1) % 512 == 0) {
-      EXPECT_NO_THROW(calc.audit_consistency()) << "op " << op;
-      EXPECT_LE(calc.max_product_drift(),
-                ProbGainCalculator::kProductAuditTol)
-          << "op " << op;
+      EXPECT_NO_THROW(calc.audit_consistency()) << "op " << op << " k " << k;
+      EXPECT_LE(calc.max_product_drift(), Calc::kProductAuditTol)
+          << "op " << op << " k " << k;
     }
     if ((op + 1) % 2048 == 0) {
       calc.renormalize_all();
       // Bit-exact, not approximate: the renormalized cache must equal an
       // in-pin-order scratch recompute factor for factor.
-      EXPECT_EQ(calc.max_product_drift(), 0.0) << "op " << op;
+      EXPECT_EQ(calc.max_product_drift(), 0.0) << "op " << op << " k " << k;
     }
   }
-  EXPECT_NO_THROW(calc.audit_consistency());
+  EXPECT_NO_THROW(calc.audit_consistency()) << "k " << k;
   return comparisons;
 }
+
+/// run_sequence_on over a random k-part split of the property circuit:
+/// a balanced Partition at k = 2, a KWayState otherwise.
+int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
+                 int renorm_interval, NodeId k) {
+  const Hypergraph g = property_circuit(seed);
+  Rng rng(mix_seed(seed, 77));
+  if (k == 2) {
+    const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+    Partition part(g, random_balanced_sides(g, balance, rng));
+    return run_sequence_on(part, engine, rng, ops, renorm_interval);
+  }
+  std::vector<NodeId> parts(g.num_nodes());
+  for (auto& p : parts) p = static_cast<NodeId>(rng.bounded(k));
+  KWayState state(g, std::move(parts), k);
+  return run_sequence_on(state, engine, rng, ops, renorm_interval);
+}
+
+/// Every suite runs the 2-way Partition instantiation and the KWayState
+/// one at two k > 2.
+constexpr NodeId kParts[] = {2, 3, 5};
 
 TEST(ProbGainProperty, CachedMatchesScratchOracleUnderRandomSequences) {
   // A tiny epoch (5) exercises renormalization hundreds of times per
   // sequence instead of hiding it behind the production default of 128.
-  for (const std::uint64_t seed : {11ULL, 23ULL, 47ULL}) {
-    const int comparisons = run_sequence(GainEngine::kCached, seed, 3500, 5);
-    EXPECT_GT(comparisons, 100) << "seed " << seed;
+  for (const NodeId k : kParts) {
+    for (const std::uint64_t seed : {11ULL, 23ULL, 47ULL}) {
+      const int comparisons =
+          run_sequence(GainEngine::kCached, seed, 3500, 5, k);
+      EXPECT_GT(comparisons, 100) << "seed " << seed << " k " << k;
+    }
   }
 }
 
 TEST(ProbGainProperty, CachedHoldsAtProductionEpochLength) {
-  run_sequence(GainEngine::kCached, 101, 3000,
-               ProbGainCalculator::kDefaultRenormInterval);
+  for (const NodeId k : kParts) {
+    run_sequence(GainEngine::kCached, 101, 3000,
+                 ProbGainCalculator<Partition>::kDefaultRenormInterval, k);
+  }
 }
 
 TEST(ProbGainProperty, ShadowCrossCheckNeverFires) {
   // Every gain() under kShadow throws std::logic_error if the cached
   // answer drifts past kProductAuditTol from the scratch one, so simply
   // surviving the sequence is the assertion.
-  EXPECT_NO_THROW(run_sequence(GainEngine::kShadow, 71, 3000, 5));
+  for (const NodeId k : kParts) {
+    EXPECT_NO_THROW(run_sequence(GainEngine::kShadow, 71, 3000, 5, k))
+        << "k " << k;
+  }
 }
 
 TEST(ProbGainProperty, RenormalizationIsBitExactAfterTinyProbabilityBursts) {

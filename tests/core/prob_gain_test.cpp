@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fm/fm_gains.h"
 #include "hypergraph/builder.h"
 #include "testutil.h"
@@ -212,6 +214,7 @@ TEST(ProbGain, GuardsAgainstMisuse) {
   Small f;
   ProbGainCalculator calc(*f.part);
   EXPECT_THROW(calc.set_probability(0, 1.5), std::invalid_argument);
+  EXPECT_THROW(calc.set_probability(0, std::nan("")), std::invalid_argument);
   calc.lock(0);
   EXPECT_THROW(calc.lock(0), std::logic_error);
   EXPECT_THROW(calc.set_probability(0, 0.5), std::logic_error);

@@ -1,30 +1,34 @@
-// KWayProbGainCalculator: the per-(net, part) generalization of the 2-way
-// probabilistic gain engine (DESIGN.md §4j).  Three contracts:
+// ProbGainCalculator<KWayState>: the probabilistic gain engine on a k-way
+// state (DESIGN.md §4f).  Three contracts:
 //   * oracle agreement — cached gains match the per-net scratch oracle
 //     within the audit tolerance, for every node and target, across a
 //     locked-move sequence;
 //   * k = 2 bit-identity — on the same graph, partition and probability
-//     sequence, the k-way calculator returns the EXACT bytes of
-//     ProbGainCalculator (operator==, no tolerance), which is what keeps
-//     BENCH_gain_kernels.json honest after the refactor;
+//     sequence, the KWayState instantiation returns the EXACT bytes of the
+//     Partition instantiation (operator==, no tolerance): the runtime
+//     k = 2 slot layout walks the same products in the same order as the
+//     compile-time one;
 //   * shadow-mode equivalence — kShadow cross-checks the cache against
 //     scratch on every query and throws past kProductAuditTol, so a clean
 //     shadow run IS the cached-vs-exact equivalence statement at k > 2.
-#include "kway/kway_prob_gain.h"
+#include "core/prob_gain.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
-#include "core/prob_gain.h"
 #include "core/probability_model.h"
 #include "hypergraph/builder.h"
+#include "kway/kway_state.h"
 #include "partition/partition.h"
 #include "testutil.h"
 #include "util/rng.h"
 
 namespace prop {
 namespace {
+
+using KWayCalc = ProbGainCalculator<KWayState>;
 
 std::vector<NodeId> random_parts(const Hypergraph& g, NodeId k,
                                  std::uint64_t seed) {
@@ -36,8 +40,7 @@ std::vector<NodeId> random_parts(const Hypergraph& g, NodeId k,
 
 /// Random nonzero probabilities — enough structure to make products
 /// nontrivial without depending on the refiner's bootstrap.
-void seed_probabilities(KWayProbGainCalculator& calc, const Hypergraph& g,
-                        Rng& rng) {
+void seed_probabilities(KWayCalc& calc, const Hypergraph& g, Rng& rng) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     calc.set_probability(u, 0.05 + 0.9 * rng.uniform());
   }
@@ -47,8 +50,8 @@ TEST(KWayProbGain, CachedMatchesScratchOracle) {
   const Hypergraph g = testing::small_random_circuit(911);
   const NodeId k = 4;
   KWayState state(g, random_parts(g, k, 911), k);
-  KWayProbGainCalculator cached(state, GainEngine::kCached);
-  KWayProbGainCalculator scratch(state, GainEngine::kScratch);
+  KWayCalc cached(state, GainEngine::kCached);
+  KWayCalc scratch(state, GainEngine::kScratch);
   Rng rng(912);
   cached.reset();
   scratch.reset();
@@ -65,8 +68,7 @@ TEST(KWayProbGain, CachedMatchesScratchOracle) {
       for (NodeId to = 0; to < k; ++to) {
         if (to == state.part(u)) continue;
         const double want = scratch.gain(u, to);
-        EXPECT_NEAR(cached.gain(u, to), want,
-                    KWayProbGainCalculator::kProductAuditTol)
+        EXPECT_NEAR(cached.gain(u, to), want, KWayCalc::kProductAuditTol)
             << "node " << u << " -> " << to;
         EXPECT_NEAR(cached.scratch_gain(u, to), want, 1e-12);
       }
@@ -82,8 +84,7 @@ TEST(KWayProbGain, CachedMatchesScratchOracle) {
     cached.move_locked(u, from);
     scratch.move_locked(u, from);
   }
-  EXPECT_LE(cached.max_product_drift(),
-            KWayProbGainCalculator::kProductAuditTol);
+  EXPECT_LE(cached.max_product_drift(), KWayCalc::kProductAuditTol);
   cached.audit_consistency();
 }
 
@@ -91,7 +92,7 @@ TEST(KWayProbGain, ShadowModeRunsCleanAtK4) {
   const Hypergraph g = testing::small_random_circuit(917, 150, 200, 600);
   const NodeId k = 4;
   KWayState state(g, random_parts(g, k, 917), k);
-  KWayProbGainCalculator shadow(state, GainEngine::kShadow);
+  KWayCalc shadow(state, GainEngine::kShadow);
   Rng rng(918);
   shadow.reset();
   seed_probabilities(shadow, g, rng);
@@ -126,7 +127,7 @@ TEST(KWayProbGain, NetGainOracleMatchesPaperCases) {
   b.add_net({0, 1, 2}, 2.0);
   const Hypergraph g = std::move(b).build();
   KWayState state(g, {0, 0, 1}, 3);
-  KWayProbGainCalculator calc(state, GainEngine::kScratch);
+  KWayCalc calc(state, GainEngine::kScratch);
   calc.reset();
   for (NodeId u = 0; u < 3; ++u) calc.set_probability(u, 0.5);
 
@@ -144,7 +145,7 @@ TEST(KWayProbGain, NetGainOracleMatchesPaperCases) {
   EXPECT_DOUBLE_EQ(calc.net_gain(0, 0, 1), 2.0 * (0.0 - 0.5));
 }
 
-/// Drives ProbGainCalculator (2-way) and KWayProbGainCalculator (k = 2)
+/// Drives the Partition instantiation and the KWayState one (k = 2)
 /// through one identical probability/lock/move trajectory and demands
 /// bitwise-equal gains at every step.
 void expect_two_way_bit_identity(GainEngine engine, std::uint64_t seed) {
@@ -159,7 +160,7 @@ void expect_two_way_bit_identity(GainEngine engine, std::uint64_t seed) {
   Partition p2(g, sides);
   KWayState state(g, part, 2);
   ProbGainCalculator two(p2, engine);
-  KWayProbGainCalculator kway(state, engine);
+  KWayCalc kway(state, engine);
   two.reset();
   kway.reset();
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -173,8 +174,8 @@ void expect_two_way_bit_identity(GainEngine engine, std::uint64_t seed) {
       const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
       if (!two.is_free(u)) continue;
       const NodeId to = static_cast<NodeId>(1 - p2.side(u));
-      // Bitwise equality, not EXPECT_NEAR: the k-way slot layout at k = 2
-      // walks the same products in the same order as the 2-way engine.
+      // Bitwise equality, not EXPECT_NEAR: the runtime k = 2 slot layout
+      // walks the same products in the same order as the compile-time one.
       EXPECT_EQ(kway.gain(u, to), two.gain(u)) << "node " << u;
     }
     const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
@@ -216,7 +217,7 @@ TEST(KWayProbGain, ShortRenormEpochStaysExact) {
   const Hypergraph g = testing::small_random_circuit(947, 80, 110, 330);
   const NodeId k = 3;
   KWayState state(g, random_parts(g, k, 947), k);
-  KWayProbGainCalculator calc(state, GainEngine::kCached, 1);
+  KWayCalc calc(state, GainEngine::kCached, 1);
   Rng rng(948);
   calc.reset();
   seed_probabilities(calc, g, rng);
@@ -226,13 +227,34 @@ TEST(KWayProbGain, ShortRenormEpochStaysExact) {
     const NodeId from = state.part(u);
     const NodeId to = (from + 1) % k;
     EXPECT_NEAR(calc.gain(u, to), calc.scratch_gain(u, to),
-                KWayProbGainCalculator::kProductAuditTol);
+                KWayCalc::kProductAuditTol);
     calc.lock(u);
     state.move(u, to);
     calc.move_locked(u, from);
   }
   EXPECT_EQ(calc.max_product_drift(), 0.0);  // every slot just renormalized
   calc.audit_consistency();
+}
+
+TEST(KWayProbGain, GuardsAgainstMisuseAndAuditsAtK3) {
+  const Hypergraph g = testing::small_random_circuit(953, 40, 60, 180);
+  const NodeId k = 3;
+  KWayState state(g, random_parts(g, k, 953), k);
+  KWayCalc calc(state, GainEngine::kCached);
+  EXPECT_THROW(calc.set_probability(0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(calc.set_probability(0, -0.1), std::invalid_argument);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) calc.set_probability(u, 0.5);
+  EXPECT_NO_THROW(calc.audit_consistency());
+  calc.lock(0);
+  EXPECT_THROW(calc.lock(0), std::logic_error);
+  EXPECT_THROW(calc.set_probability(0, 0.5), std::logic_error);
+  EXPECT_THROW(calc.move_locked(1, 0), std::logic_error);
+  EXPECT_NO_THROW(calc.audit_consistency());
+  // Moving the state without telling the calculator desyncs the
+  // per-(net, part) locked-pin table — the auditor must notice.
+  ASSERT_GT(g.degree(0), 0u);
+  state.move(0, (state.part(0) + 1) % k);
+  EXPECT_THROW(calc.audit_consistency(), std::logic_error);
 }
 
 }  // namespace
