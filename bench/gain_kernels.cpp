@@ -154,8 +154,8 @@ Timed run_bootstrap(const prop::Hypergraph& g, const prop::Partition& part,
       if (engine == GainEngine::kCached) {
         std::fill(gains.begin(), gains.end(), 0.0);
         for (NetId net = 0; net < m; ++net) {
-          calc.for_each_net_gain(net,
-                                 [&](NodeId v, double gn) { gains[v] += gn; });
+          calc.for_each_net_gain(
+              net, [&](NodeId v, NodeId, double gn) { gains[v] += gn; });
         }
       } else {
         for (NodeId u = 0; u < n; ++u) gains[u] = calc.gain(u);
@@ -240,7 +240,7 @@ Timed run_move_update(const prop::Hypergraph& g,
   prop::PropConfig config;
   config.gain_engine = engine;
   prop::Partition part(g, sides);
-  prop::PropRefiner refiner(part, balance, config);
+  prop::PropRefiner<prop::Partition> refiner(part, {&balance}, config);
 
   g_sink += refiner.run_pass();  // warmup pass
   const std::uint64_t allocs_before = g_allocations.load();

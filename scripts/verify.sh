@@ -36,8 +36,11 @@ echo "== multilevel perf gate (release) =="
 # match-or-beat its own greedy prefix on best connectivity at k > 2
 # (exit 5); same >25% wall-regression policy (exit 4).
 echo "== k-way quality + perf gate (release) =="
+kway_status=0
 ./build/bench/kway --fast --baseline BENCH_kway.json --assert-quality \
-  --out build/BENCH_kway.json > /dev/null
+  --out build/BENCH_kway.json > /dev/null || kway_status=$?
+echo "bench/kway --fast --assert-quality exit code: $kway_status"
+if [[ $kway_status -ne 0 ]]; then exit "$kway_status"; fi
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== skipped sanitizer pass (--fast) =="
@@ -85,6 +88,10 @@ echo "== k-way smoke (asan+ubsan) =="
 # calculator cross-checks its cache against scratch on every query.
 ./build-asan/tools/prop_cli --circuit p1 --algo prop --k 3 \
   --gain-engine shadow --runs 1 > /dev/null
+# Injected gain drift at k = 4: the shared pass engine's emergency resyncs
+# and its k-way stop link run on the KWayState instantiation.
+./build-asan/tools/prop_cli --circuit p1 --algo prop --k 4 \
+  --inject prop-drift~0.01 --runs 1 > /dev/null
 
 # Service chaos soak under ASan+UBSan: a short fault-injected soak that
 # drives the admission queue past its limit.  The binary itself is the gate —
@@ -109,7 +116,7 @@ echo "== tsan build + concurrency suites =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
 ctest --preset tsan -j "$jobs" \
-  -R 'ParallelRunner|ThreadPool|Runner|RuntimeRobustness|Deadline|CancelToken|FaultInjector|EngineEquivalence|ProbGainProperty|JobStore|Admission|Server|KWay'
+  -R 'ParallelRunner|ThreadPool|Runner|RunMany|RuntimeRobustness|Deadline|CancelToken|FaultInjector|EngineEquivalence|ProbGainProperty|JobStore|Admission|Server|KWay'
 
 echo "== tsan service smoke =="
 ./build-tsan/bench/service_throughput --fast --jobs 40 --queue-limit 6 \

@@ -53,6 +53,7 @@
 //     trajectory equality is asserted in shadow mode (see DESIGN.md 4f).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -77,7 +78,8 @@ enum class GainEngine {
 const char* to_string(GainEngine engine) noexcept;
 
 /// A partition state whose part count is a compile-time 2 (Partition).
-/// The members that only the 2-way pass uses require it.
+/// The 2-way conveniences (other-side gain, removal probability) require
+/// it.
 template <typename State>
 concept TwoWayState = (State::k() == 2);
 
@@ -137,6 +139,11 @@ class ProbGainCalculator {
   /// (std::logic_error otherwise).
   double gain(NodeId u, NodeId to) const;
 
+  /// gain(u, to) toward every part other than u's, in ascending part order,
+  /// into out[0 .. k-2].  Under kCached one pass over u's nets serves every
+  /// target; the other engines answer per target through gain().
+  void gains(NodeId u, double* out) const;
+
   /// 2-way: gain of moving u to the other side.
   double gain(NodeId u) const
     requires TwoWayState<State>
@@ -161,86 +168,29 @@ class ProbGainCalculator {
   /// against.
   double scratch_gain(NodeId u, NodeId to) const;
 
-  /// 2-way only.  Emits (v, g_n(v)) for every FREE pin v of net n with a
-  /// nonzero contribution, in O(|n|) total.  The cached engine reads the
-  /// side products straight from the cache, excludes each pin's own
-  /// probability by multiplying with its cached reciprocal, and skips
-  /// frozen nets (locked pins on both sides: every free-pin contribution is
-  /// exactly 0) without emitting.  The scratch/shadow engines compute the
-  /// products with one pin pass and divide each pin's probability back out
-  /// — the legacy cost model — and emit every free pin, zero contributions
-  /// included.  Summing per-net emissions over a node's nets equals
-  /// gain(v); the PROP pass uses before/after deltas of this per net
-  /// touched by a move, and the net-major bootstrap sweep accumulates it
-  /// over all nets.
+  /// Emits (v, to, g_n(v -> to)) for every FREE pin v of net n and every
+  /// target part to != part(v), in O(|n| * (k - 1)) after an O(k) per-part
+  /// preamble.  The cached engine reads the part products straight from
+  /// the cache, excludes each pin's own probability by multiplying with its
+  /// cached reciprocal, and skips frozen pairs (locked pins in both v's
+  /// part and the target: the contribution is exactly 0) without emitting.
+  /// The scratch/shadow engines compute the products with one pin pass and
+  /// divide each pin's probability back out — the legacy cost model — and
+  /// emit every pair, zero contributions included.  Summing a pair's
+  /// emissions over v's nets equals gain(v, to); the PROP pass uses
+  /// before/after deltas of this per net touched by a move, and the
+  /// net-major bootstrap sweep accumulates it over all nets.  Non-const:
+  /// the per-part preamble lands in a reused workspace.
   template <typename Emit>
-  void for_each_net_gain(NetId n, Emit&& emit) const
-    requires TwoWayState<State>
-  {
-    const State& state = *state_;
-    const auto pins = state.graph().pins_of(n);
-    const double c = state.graph().net_cost(n);
-    const bool blocked[2] = {part_locked(n, 0), part_locked(n, 1)};
-
+  void for_each_net_gain(NetId n, Emit&& emit) {
+    // The per-part view lives on the stack when k is a compile-time 2, so
+    // it stays in registers across emit calls.
+    NetPart two_parts[2];
+    NetPart* parts = TwoWayState<State> ? two_parts : net_parts_.data();
     if (engine_ == GainEngine::kCached) {
-      // Frozen net: locked pins on both sides mean the net is pinned in the
-      // cut and both removal products are 0, so g_n(v) == 0 for every free
-      // pin v for the rest of the pass.
-      if (blocked[0] && blocked[1]) return;
-      const bool cut = state.is_cut(n);
-      const double prod[2] = {prod_[slot(n, 0)], prod_[slot(n, 1)]};
-      const std::uint32_t zeros[2] = {zero_free_[slot(n, 0)],
-                                      zero_free_[slot(n, 1)]};
-      const double side_prod[2] = {
-          (blocked[0] || zeros[0] > 0) ? 0.0 : prod[0],
-          (blocked[1] || zeros[1] > 0) ? 0.0 : prod[1]};
-      for (const NodeId v : pins) {
-        if (locked_[v]) continue;
-        const NodeId a = state.part(v);
-        double prod_a_excl;
-        if (blocked[a]) {
-          prod_a_excl = 0.0;
-        } else if (p_[v] == 0.0) {
-          prod_a_excl = zeros[a] > 1 ? 0.0 : prod[a];
-        } else {
-          prod_a_excl = zeros[a] > 0 ? 0.0 : prod[a] * recip_[v];
-        }
-        if (cut) {
-          emit(v, c * (prod_a_excl - side_prod[1 - a]));
-        } else {
-          // Net lies entirely on v's side (it contains v).
-          emit(v, -c * (1.0 - prod_a_excl));
-        }
-      }
-      return;
-    }
-
-    const bool cut = state.is_cut(n);
-    double prod[2] = {1.0, 1.0};
-    std::uint32_t zeros[2] = {0, 0};
-    for (const NodeId v : pins) {
-      if (locked_[v]) continue;
-      if (p_[v] == 0.0) {
-        ++zeros[state.part(v)];
-      } else {
-        prod[state.part(v)] *= p_[v];
-      }
-    }
-    const double side_prod[2] = {
-        (blocked[0] || zeros[0] > 0) ? 0.0 : prod[0],
-        (blocked[1] || zeros[1] > 0) ? 0.0 : prod[1]};
-
-    for (const NodeId v : pins) {
-      if (locked_[v]) continue;
-      const NodeId a = state.part(v);
-      const double prod_a_excl =
-          excl_product(blocked[a], zeros[a], prod[a], p_[v]);
-      if (cut) {
-        emit(v, c * (prod_a_excl - side_prod[1 - a]));
-      } else {
-        // Net lies entirely on v's side (it contains v).
-        emit(v, -c * (1.0 - prod_a_excl));
-      }
+      emit_net_gains<true>(n, parts, emit);
+    } else {
+      emit_net_gains<false>(n, parts, emit);
     }
   }
 
@@ -284,19 +234,89 @@ class ProbGainCalculator {
     return engine_ != GainEngine::kScratch;
   }
 
-  /// Product over free pins of one side excluding a free pin whose
-  /// probability is `p_self`, given the side's blocked flag, zero-factor
-  /// count and nonzero-factor product (scratch/shadow emission form).
-  static double excl_product(bool blocked, std::uint32_t zeros, double prod,
-                             double p_self) noexcept {
-    if (blocked) return 0.0;
-    if (p_self == 0.0) return zeros > 1 ? 0.0 : prod;
-    return zeros > 0 ? 0.0 : prod / p_self;
-  }
-
   /// gain(u, to) computed from the cached products — the kCached fast
   /// path, and the value kShadow cross-checks against the scratch answer.
   double cached_gain(NodeId u, NodeId to) const;
+
+  /// Sums the cached-product gains of u toward target_of(j), j < count,
+  /// into out[j] — one pass over u's nets shared by every target.
+  template <typename TargetOf>
+  void sum_cached_gains(NodeId u, NodeId count, TargetOf target_of,
+                        double* out) const;
+
+  /// for_each_net_gain's per-part view of one net.
+  struct NetPart {
+    double prod;           // product of nonzero free-pin p
+    double removal;        // prod, or 0 if blocked / a free pin has p == 0
+    std::uint32_t zeros;   // free pins with p == 0
+    bool blocked;          // the part holds a locked pin
+    bool present;          // the part holds any pin of the net
+  };
+
+  /// for_each_net_gain's body over a k-entry per-part workspace.  The
+  /// cached engine reads the part products from the cache, excludes a
+  /// pin's own factor with its cached reciprocal and skips frozen pairs;
+  /// the scratch form multiplies the products out of the pins, divides and
+  /// emits every pair.
+  template <bool kCachedEngine, typename Emit>
+  void emit_net_gains(NetId n, NetPart* parts, Emit& emit) const {
+    const State& state = *state_;
+    const NodeId k = state.k();
+    const auto pins = state.graph().pins_of(n);
+    const double c = state.graph().net_cost(n);
+    for (NodeId p = 0; p < k; ++p) {
+      NetPart& part = parts[p];
+      part.blocked = part_locked(n, p);
+      part.present = state.pins_in(n, p) > 0;
+      part.prod = kCachedEngine ? prod_[slot(n, p)] : 1.0;
+      part.zeros = kCachedEngine ? zero_free_[slot(n, p)] : 0;
+    }
+    if (!kCachedEngine) {
+      for (const NodeId v : pins) {
+        if (locked_[v]) continue;
+        NetPart& part = parts[state.part(v)];
+        if (p_[v] == 0.0) {
+          ++part.zeros;
+        } else {
+          part.prod *= p_[v];
+        }
+      }
+    }
+    for (NodeId p = 0; p < k; ++p) {
+      NetPart& part = parts[p];
+      part.removal = (part.blocked || part.zeros > 0) ? 0.0 : part.prod;
+    }
+
+    for (const NodeId v : pins) {
+      if (locked_[v]) continue;
+      const NodeId a = state.part(v);
+      const NetPart& own = parts[a];
+      // Product of p over the other free pins of v's part; 0 once the part
+      // holds a locked pin or another zero-probability pin.
+      double prod_a_excl;
+      if (own.blocked) {
+        prod_a_excl = 0.0;
+      } else if (p_[v] == 0.0) {
+        prod_a_excl = own.zeros > 1 ? 0.0 : own.prod;
+      } else if (own.zeros > 0) {
+        prod_a_excl = 0.0;
+      } else {
+        prod_a_excl = kCachedEngine ? own.prod * recip_[v] : own.prod / p_[v];
+      }
+      for (NodeId j = 0; j + 1 < k; ++j) {
+        const NodeId b = j < a ? j : j + 1;
+        const NetPart& target = parts[b];
+        if (kCachedEngine && own.blocked && target.blocked) continue;  // frozen
+        if (target.present) {
+          // Eqn. 3 (k = 2: the net is cut).
+          emit(v, b, c * (prod_a_excl - target.removal));
+        } else {
+          // Eqn. 4: no pin in b yet (k = 2: the net lies on v's side).
+          emit(v, b, -c * (1.0 - prod_a_excl));
+        }
+      }
+    }
+  }
 
   /// Applies one factor change old_p -> new_p to the (net, part) slot —
   /// old_r is the cached reciprocal of old_p, so the removal is a multiply
@@ -327,6 +347,8 @@ class ProbGainCalculator {
   std::vector<std::uint32_t> zero_free_;  // free pins with p == 0
   std::vector<std::uint32_t> updates_;    // incremental updates this epoch
   std::vector<double> recip_;          // 1/p, 0 where p == 0
+
+  std::vector<NetPart> net_parts_;  // for_each_net_gain workspace, k entries
 };
 
 // ---------------------------------------------------------------------------
@@ -340,7 +362,8 @@ ProbGainCalculator<State>::ProbGainCalculator(const State& state,
                                               int renorm_interval)
     : state_(&state),
       engine_(engine),
-      renorm_interval_(renorm_interval < 1 ? 1 : renorm_interval) {
+      renorm_interval_(renorm_interval < 1 ? 1 : renorm_interval),
+      net_parts_(state.k()) {
   reset();
 }
 
@@ -626,18 +649,18 @@ double ProbGainCalculator<State>::scratch_gain(NodeId u, NodeId to) const {
 }
 
 template <typename State>
-double ProbGainCalculator<State>::cached_gain(NodeId u, NodeId to) const {
+template <typename TargetOf>
+void ProbGainCalculator<State>::sum_cached_gains(NodeId u, NodeId count,
+                                                 TargetOf target_of,
+                                                 double* out) const {
   const State& state = *state_;
   const Hypergraph& g = state.graph();
   const NodeId a = state.part(u);
   const double pu = p_[u];
   const double ru = recip_[u];
-  double total = 0.0;
+  std::fill_n(out, count, 0.0);
   for (const NetId n : g.nets_of(u)) {
     const bool a_blocked = part_locked(n, a);
-    // Frozen pair (locked pins in both the source and the target part):
-    // both removal products are 0 — contributes exactly nothing.
-    if (a_blocked && part_locked(n, to)) continue;
     const double c = g.net_cost(n);
     double prod_a_excl;
     if (a_blocked) {
@@ -650,17 +673,41 @@ double ProbGainCalculator<State>::cached_gain(NodeId u, NodeId to) const {
         prod_a_excl = zeros_a > 0 ? 0.0 : prod_[slot(n, a)] * ru;
       }
     }
-    if (state.pins_in(n, to) > 0) {
-      const double prod_b =
-          (part_locked(n, to) || zero_free_[slot(n, to)] > 0)
-              ? 0.0
-              : prod_[slot(n, to)];
-      total += c * (prod_a_excl - prod_b);
-    } else {
-      total += -c * (1.0 - prod_a_excl);
+    for (NodeId j = 0; j < count; ++j) {
+      const NodeId to = target_of(j);
+      // Frozen pair (locked pins in both the source and the target part):
+      // both removal products are 0 — contributes exactly nothing.
+      if (a_blocked && part_locked(n, to)) continue;
+      if (state.pins_in(n, to) > 0) {
+        const double prod_b =
+            (part_locked(n, to) || zero_free_[slot(n, to)] > 0)
+                ? 0.0
+                : prod_[slot(n, to)];
+        out[j] += c * (prod_a_excl - prod_b);
+      } else {
+        out[j] += -c * (1.0 - prod_a_excl);
+      }
     }
   }
+}
+
+template <typename State>
+double ProbGainCalculator<State>::cached_gain(NodeId u, NodeId to) const {
+  double total;
+  sum_cached_gains(u, 1, [to](NodeId) { return to; }, &total);
   return total;
+}
+
+template <typename State>
+void ProbGainCalculator<State>::gains(NodeId u, double* out) const {
+  const NodeId a = state_->part(u);
+  const auto target_of = [a](NodeId j) { return j < a ? j : j + 1; };
+  const NodeId count = state_->k() - 1;
+  if (engine_ == GainEngine::kCached) {
+    sum_cached_gains(u, count, target_of, out);
+    return;
+  }
+  for (NodeId j = 0; j < count; ++j) out[j] = gain(u, target_of(j));
 }
 
 template <typename State>

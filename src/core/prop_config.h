@@ -39,8 +39,9 @@ struct PropConfig {
   /// (tests/integration/engine_equivalence_test.cpp).
   GainEngine gain_engine = GainEngine::kCached;
 
-  /// Number of top-ranked nodes per side whose gains are recomputed after
-  /// every move ("a few, say, five, of the top ranked nodes", Sec. 3.4).
+  /// Number of top-ranked nodes of the mover's source and target parts
+  /// whose gains are recomputed after every move ("a few, say, five, of the
+  /// top ranked nodes", Sec. 3.4).
   int top_update_width = 5;
 
   int max_passes = 64;
@@ -67,20 +68,9 @@ struct PropConfig {
 
   /// Optional runtime context: the move loop polls for deadline expiry /
   /// injected cancellation (stopping mid-pass with the usual best-prefix
-  /// rollback), and the prop-drift fault site can force the degradation
-  /// chain below.  Null = inert.
+  /// rollback), and the prop-drift fault site can force the drift
+  /// degradation chain (core/prop_refiner.h).  Null = inert.
   const RunContext* context = nullptr;
-
-  /// Degradation chain for probabilistic-gain drift.  When an audit
-  /// observes max |incremental - scratch| drift above a fixed hard bound
-  /// (kDriftHardBound in prop_partitioner.cpp) or the prop-drift fault
-  /// fires, the pass performs an *emergency resync* of gains[] — the same
-  /// sweep as resync_interval, just demand-driven.  After
-  /// `max_emergency_resyncs` of those in one refine call the probabilistic
-  /// bookkeeping is deemed untrustworthy: the current pass is rolled back
-  /// to its best prefix and refinement finishes with deterministic FM
-  /// passes instead.
-  int max_emergency_resyncs = 3;
 };
 
 }  // namespace prop

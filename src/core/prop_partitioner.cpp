@@ -1,423 +1,34 @@
 #include "core/prop_partitioner.h"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
-#include <vector>
 
 #include "fm/fm_partitioner.h"
 #include "partition/initial.h"
-#include "telemetry/invariant_audit.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace prop {
-namespace {
 
-constexpr double kEps = 1e-9;
-
-/// Probabilistic gains are products/sums of doubles, so exact comparisons
-/// essentially never fire; anything within this absolute tolerance is
-/// treated as equal (selection ties) or as unchanged (delta application,
-/// refresh-node tree updates).
-constexpr double kGainEps = 1e-12;
-
-/// Audited gain drift above this bound triggers an emergency resync
-/// (PropConfig::max_emergency_resyncs).  Cache drift between epoch
-/// renormalizations is ~1e-14, so only real divergence reaches it.
-constexpr double kDriftHardBound = 1e-3;
-
-}  // namespace
-
-PropRefiner::PropRefiner(Partition& part, const BalanceConstraint& balance,
-                         const PropConfig& config)
-    : part_(&part),
-      balance_(&balance),
-      config_(&config),
-      calc_(part, config.gain_engine),
-      side0_(part.graph().num_nodes()),
-      side1_(part.graph().num_nodes()),
-      gains_(part.graph().num_nodes(), 0.0),
-      delta_(part.graph().num_nodes(), 0.0),
-      to_refresh_(),
-      visit_stamp_(part.graph().num_nodes(), 0) {
-  moved_.reserve(part.graph().num_nodes());
-  to_refresh_.reserve(part.graph().num_nodes());
-  sort_scratch_[0].reserve(part.graph().num_nodes());
-  sort_scratch_[1].reserve(part.graph().num_nodes());
-}
-
-/// Steps 3-4 of Fig. 2: bootstrap probabilities, then iterate
-/// gains -> probabilities `refine_iterations` times.  Leaves gains_ filled
-/// with the final probabilistic gains.  Under the cached engine the gain
-/// sweep is net-major — one for_each_net_gain emission per net, O(sum |n|)
-/// total; the scratch engine keeps the legacy node-major sweep
-/// (O(sum deg(u) * |n|)), which is the cost model the gain-kernel
-/// benchmark measures it by.  kShadow deliberately follows the scratch
-/// branch so a shadow run is decision-identical to a scratch run.
-void PropRefiner::bootstrap_probabilities() {
-  const Partition& part = *part_;
-  const PropConfig& config = *config_;
-  const NodeId n = part.graph().num_nodes();
-  if (config.bootstrap == PropBootstrap::kUniform) {
-    for (NodeId u = 0; u < n; ++u) {
-      calc_.set_probability(u, config.model.pinit);
-    }
-  } else {
-    for (NodeId u = 0; u < n; ++u) {
-      calc_.set_probability(u, config.model.from_gain(part.immediate_gain(u)));
-    }
-  }
-  const NetId nets = part.graph().num_nets();
-  for (int iter = 0; iter < config.refine_iterations; ++iter) {
-    // Gains from the current probability snapshot...
-    if (config.gain_engine == GainEngine::kCached) {
-      std::fill(gains_.begin(), gains_.end(), 0.0);
-      for (NetId net = 0; net < nets; ++net) {
-        calc_.for_each_net_gain(
-            net, [&](NodeId v, double gv) { gains_[v] += gv; });
-      }
-    } else {
-      for (NodeId u = 0; u < n; ++u) gains_[u] = calc_.gain(u);
-    }
-    // ...then probabilities from those gains.
-    for (NodeId u = 0; u < n; ++u) {
-      calc_.set_probability(u, config.model.from_gain(gains_[u]));
-    }
-  }
-}
-
-/// Recomputes gain and probability of one free node from scratch at the
-/// current probability state.  When the recomputed gain matches the stored
-/// gains_[v] within kGainEps, the node's tree position and probability are
-/// already right — skip the AVL remove/reinsert churn entirely (counted as
-/// a refresh_skip in telemetry).
-void PropRefiner::refresh_node(NodeId v, PassStats* stats) {
-  const double g = calc_.gain(v);
-  if (std::abs(g - gains_[v]) <= kGainEps) {
-    if (stats) ++stats->refresh_skips;
-    return;
-  }
-  gains_[v] = g;
-  GainTree& tree = part_->side(v) == 0 ? side0_ : side1_;
-  if (tree.contains(v)) {
-    tree.update(v, g);
-    if (stats) ++stats->ops.updates;
-  }
-  calc_.set_probability(v, config_->model.from_gain(g));
-}
-
-/// Drift-bounding resync (PropConfig::resync_interval): renormalizes the
-/// cached products exactly, then recomputes gains_ of every free node from
-/// scratch at the current probability state and refreshes the tree keys.
-/// Probabilities are deliberately left to the normal per-move updates, so
-/// immediately after this sweep gains_ agrees with
-/// ProbGainCalculator::gain exactly.
-void PropRefiner::resync_gains(PassStats* stats) {
-  calc_.renormalize_all();
-  const NodeId n = part_->graph().num_nodes();
-  for (NodeId v = 0; v < n; ++v) {
-    if (!calc_.is_free(v)) continue;
-    gains_[v] = calc_.gain(v);
-    GainTree& tree = part_->side(v) == 0 ? side0_ : side1_;
-    if (tree.contains(v)) {
-      tree.update(v, gains_[v]);
-      if (stats) ++stats->ops.updates;
-    }
-    if (stats) ++stats->resyncs;
-  }
-}
-
-/// Debug audit (PropConfig::audit_interval): asserts the exact incremental
-/// invariants — locked-pin counts, cached products vs the scratch oracle,
-/// probability bounds, tree membership and tree keys vs gains_, incremental
-/// cut cost — and records the gap between gains_ and a from-scratch
-/// recompute as telemetry drift.  The gap is hard-asserted only when
-/// `expect_scratch_match` is set (right after a resync): in between, gains_
-/// is stale w.r.t. later probability updates of neighboring nodes *by
-/// design* (the paper's Sec. 3.4 update policy).  Returns the max absolute
-/// drift observed (feeds the degradation chain).
-double PropRefiner::audit(PassStats* stats, bool expect_scratch_match) const {
-  const Partition& part = *part_;
-  const PropConfig& config = *config_;
-  audit::check_cut(part, config.audit_tolerance);
-  calc_.audit_consistency();
-  audit::DriftTracker drift;
-  const NodeId n = part.graph().num_nodes();
-  for (NodeId v = 0; v < n; ++v) {
-    const GainTree& own = part.side(v) == 0 ? side0_ : side1_;
-    const GainTree& other = part.side(v) == 0 ? side1_ : side0_;
-    if (!calc_.is_free(v)) {
-      audit::check_node(!side0_.contains(v) && !side1_.contains(v),
-                        "PROP: locked node still in a gain tree", v);
-      continue;
-    }
-    audit::check_node(own.contains(v) && !other.contains(v),
-                      "PROP: free node not in its side's gain tree", v);
-    audit::check_node(own.key(v) == gains_[v],
-                      "PROP: tree key out of sync with gains[]", v);
-    const double scratch = calc_.gain(v);
-    drift.observe(v, gains_[v], scratch);
-    if (expect_scratch_match) {
-      audit::check_close(gains_[v], scratch, config.audit_tolerance,
-                         "PROP gain after resync", v);
-    }
-  }
-  if (stats) {
-    ++stats->audits;
-    if (drift.max_abs > stats->max_gain_drift) {
-      stats->max_gain_drift = drift.max_abs;
-    }
-  }
-  return drift.max_abs;
-}
-
-double PropRefiner::run_pass(PassStats* stats) {
-  Partition& part = *part_;
-  const PropConfig& config = *config_;
-  const Hypergraph& g = part.graph();
-  const NodeId n = g.num_nodes();
-
-  // The visit-stamp epoch survives across passes (visit_stamp_ is reused,
-  // not reallocated); rewind it before it can wrap around: at most one
-  // stamp per move, at most n moves.
-  if (static_cast<std::uint64_t>(stamp_) + n + 1 >=
-      static_cast<std::uint32_t>(-1)) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    stamp_ = 0;
-  }
-
-  calc_.reset();
-  bootstrap_probabilities();
-
-  // Bulk-load the gain trees: stage (gain, node) per side, sort ascending
-  // with node id as the tie key, link as a balanced tree in O(n).  Equal
-  // gains end up in node order — the same LIFO recency order the old
-  // insert-each-node loop produced — so the trees are observationally
-  // identical to incremental construction, just cheaper.  (std::sort, not
-  // stable_sort: the latter allocates, and this path must stay
-  // allocation-free across passes.)
-  sort_scratch_[0].clear();
-  sort_scratch_[1].clear();
-  for (NodeId u = 0; u < n; ++u) {
-    sort_scratch_[part.side(u)].emplace_back(gains_[u], u);
-  }
-  for (int s = 0; s < 2; ++s) {
-    auto& staged = sort_scratch_[s];
-    std::sort(staged.begin(), staged.end());
-    (s == 0 ? side0_ : side1_)
-        .assign_sorted(staged.data(), static_cast<std::uint32_t>(staged.size()));
-  }
-  if (stats) stats->ops.inserts += n;
-
-  moved_.clear();
-  double prefix = 0.0;
-  double best_prefix = 0.0;
-  std::size_t best_count = 0;
-
-  // With unit node sizes feasibility is uniform per side, so it is checked
-  // once instead of walking the tree past every infeasible node.
-  const bool unit_sizes = g.unit_node_sizes();
-  const BalanceConstraint& balance = *balance_;
-  const auto best_feasible = [&](GainTree& tree, int side) {
-    if (tree.empty()) return GainTree::kNull;
-    if (unit_sizes) {
-      if (!balance.move_feasible(part.side_size(0), side, 1)) {
-        return GainTree::kNull;
-      }
-      return tree.max();
-    }
-    GainTree::Handle found = GainTree::kNull;
-    tree.for_each_descending([&](GainTree::Handle h, double) {
-      if (balance.move_feasible(part.side_size(0), side, g.node_size(h))) {
-        found = h;
-        return false;
-      }
-      return true;
-    });
-    return found;
-  };
-
-  const RunContext* ctx = config.context;
-
-  while (true) {
-    if (ctx && ctx->refine_should_stop()) {
-      interrupted_ = true;
-      break;
-    }
-    // Step 6: best-gain node in either subset whose move keeps balance.
-    const auto h0 = side0_.empty() ? GainTree::kNull : best_feasible(side0_, 0);
-    const auto h1 = side1_.empty() ? GainTree::kNull : best_feasible(side1_, 1);
-    if (h0 == GainTree::kNull && h1 == GainTree::kNull) break;
-
-    NodeId u;
-    if (h0 == GainTree::kNull) {
-      u = h1;
-    } else if (h1 == GainTree::kNull) {
-      u = h0;
-    } else if (std::abs(side0_.key(h0) - side1_.key(h1)) > kGainEps) {
-      u = side0_.key(h0) > side1_.key(h1) ? h0 : h1;
-    } else {
-      // Gain tie (within FP tolerance — an exact comparison of probability
-      // products never ties): move from the heavier side, mirroring FM.
-      u = part.side_size(0) >= part.side_size(1) ? h0 : h1;
-    }
-
-    // Step 7: the recorded prefix uses the *immediate* deterministic gain.
-    const int from = part.side(u);
-    const double immediate = part.immediate_gain(u);
-    (from == 0 ? side0_ : side1_).erase(u);
-    if (stats) ++stats->ops.erases;
-
-    // Step 8 / Sec. 3.4: after moving u, the removal probabilities of u's
-    // nets change, so every free pin of those nets gets the before/after
-    // delta of that net's gain contribution — O(pins of u's nets) per move.
-    ++stamp_;
-    to_refresh_.clear();
-    const auto visit = [&](double sign) {
-      for (const NetId net : g.nets_of(u)) {
-        calc_.for_each_net_gain(net, [&](NodeId v, double gv) {
-          if (v == u) return;
-          if (visit_stamp_[v] != stamp_) {
-            visit_stamp_[v] = stamp_;
-            delta_[v] = 0.0;
-            to_refresh_.push_back(v);
-          }
-          delta_[v] += sign * gv;
-        });
-      }
-    };
-    visit(-1.0);
-    calc_.lock(u);
-    part.move(u);
-    calc_.move_locked(u, from);
-    visit(+1.0);
-
-    for (const NodeId v : to_refresh_) {
-      // An exact == 0.0 test never fires once real contributions cancel:
-      // the -old/+new accumulation leaves FP residue.  Treat residue-sized
-      // deltas as "contribution unchanged" so they neither trigger tree
-      // updates nor seep into gains[].
-      if (std::abs(delta_[v]) <= kGainEps) continue;
-      gains_[v] += delta_[v];
-      GainTree& tree = part.side(v) == 0 ? side0_ : side1_;
-      if (tree.contains(v)) {
-        tree.update(v, gains_[v]);
-        if (stats) ++stats->ops.updates;
-      }
-      calc_.set_probability(v, config.model.from_gain(gains_[v]));
-    }
-
-    for (GainTree* tree : {&side0_, &side1_}) {
-      if (config.top_update_width <= 0) break;
-      to_refresh_.clear();
-      int budget = config.top_update_width;
-      tree->for_each_descending([&](GainTree::Handle h, double) {
-        to_refresh_.push_back(h);
-        return --budget > 0;
-      });
-      for (const NodeId v : to_refresh_) {
-        refresh_node(v, stats);
-      }
-    }
-
-    moved_.push_back(u);
-    prefix += immediate;
-    if (prefix > best_prefix + kEps) {
-      best_prefix = prefix;
-      best_count = moved_.size();
-    }
-
-    const bool audit_due =
-        config.audit_interval > 0 &&
-        moved_.size() % static_cast<std::size_t>(config.audit_interval) == 0;
-    const bool resync_due =
-        config.resync_interval > 0 &&
-        moved_.size() % static_cast<std::size_t>(config.resync_interval) == 0;
-    double observed_drift = 0.0;
-    if (audit_due) {
-      // Records the accumulated drift since the last resync (or pass start).
-      observed_drift = audit(stats, /*expect_scratch_match=*/false);
-    }
-    if (resync_due) {
-      resync_gains(stats);
-      if (audit_due) {
-        // Post-resync, gains[] must equal the scratch recompute exactly.
-        audit(stats, /*expect_scratch_match=*/true);
-      }
-    }
-
-    // Degradation chain: drift beyond the hard bound (or an injected
-    // prop-drift fault) means the incremental probabilistic bookkeeping is
-    // diverging.  First line of defense is an emergency resync — the same
-    // sweep as resync_interval, just demand-driven; past
-    // max_emergency_resyncs the engine gives up on probabilistic gains and
-    // requests the deterministic-FM fallback.
-    bool drift_blowup = observed_drift > kDriftHardBound;
-    if (ctx && ctx->inject(FaultSite::kPropDrift)) drift_blowup = true;
-    if (drift_blowup) {
-      ++emergency_resyncs_;
-      if (emergency_resyncs_ > config.max_emergency_resyncs) {
-        fallback_to_fm_ = true;
-        if (ctx) {
-          ctx->degrade("prop.gain-drift", "fm-fallback",
-                       std::to_string(emergency_resyncs_ - 1) +
-                           " emergency resyncs did not hold; finishing with "
-                           "deterministic FM gains");
-        }
-        break;  // roll back to the best prefix, then switch engines
-      }
-      resync_gains(stats);
-      if (ctx) {
-        ctx->degrade("prop.gain-drift", "resync",
-                     "drift " + std::to_string(observed_drift) + " at move " +
-                         std::to_string(moved_.size()));
-      }
-    }
-  }
-
-  // Step 10: keep only the maximum-prefix moves.
-  for (std::size_t i = moved_.size(); i > best_count; --i) {
-    part.move(moved_[i - 1]);
-  }
-  if (stats) {
-    stats->moves_attempted = moved_.size();
-    stats->moves_accepted = best_count;
-    stats->best_prefix_gain = best_prefix;
-  }
-  return best_prefix;
-}
+template class PropRefiner<Partition>;
 
 RefineOutcome prop_refine(Partition& part, const BalanceConstraint& balance,
                           const PropConfig& config) {
   config.model.validate();
-  PropRefiner refiner(part, balance, config);
+  PropRefiner<Partition> refiner(part, {&balance}, config);
   RefineOutcome out;
-  for (int pass = 0; pass < config.max_passes; ++pass) {
-    PassStats* stats = nullptr;
-    WallTimer wall;
-    CpuTimer cpu;
-    if (config.telemetry) {
-      stats = &config.telemetry->begin_pass(part.cut_cost());
-    }
-    const double gained = refiner.run_pass(stats);
-    ++out.passes;
-    if (stats) {
-      stats->cut_after = part.cut_cost();
-      stats->wall_seconds = wall.seconds();
-      stats->cpu_seconds = cpu.seconds();
-    }
-    if (refiner.interrupted()) {
-      out.interrupted = true;
-      break;
-    }
-    if (refiner.fallback_to_fm() || gained <= kEps) break;
-  }
-  if (refiner.fallback_to_fm() && !out.interrupted) {
+  out.passes = refiner.refine();
+  out.interrupted = refiner.interrupted();
+  if (refiner.drift_gave_up()) {
     // Last link of the degradation chain: finish with deterministic FM
     // gains — the exact incremental engine of the family — so the run still
     // converges to a locally-optimal cut.  Telemetry and the runtime
     // context carry over (FM passes append to the same trajectory).
+    if (config.context) {
+      config.context->degrade(
+          "prop.gain-drift", "fm-fallback",
+          std::to_string(PropRefiner<Partition>::kMaxEmergencyResyncs) +
+              " emergency resyncs did not hold; finishing with "
+              "deterministic FM gains");
+    }
     FmConfig fm;
     fm.max_passes = config.max_passes;
     fm.telemetry = config.telemetry;

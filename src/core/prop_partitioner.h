@@ -1,86 +1,52 @@
-// PROP — the PRObabilistic Partitioner (paper Fig. 2).
+// PROP — the PRObabilistic Partitioner (paper Fig. 2), 2-way.
 //
 // An FM-style pass engine that *selects* moves by probabilistic gain
 // (prob_gain.h) while *accepting* the maximum prefix of deterministic
-// immediate gains, so every accepted pass is a true cut improvement.  Node
-// gains live in the AVL tree; after each move the mover's neighbors and the
-// top few nodes of each side get fresh gains and probabilities (Sec. 3.4).
+// immediate gains, so every accepted pass is a true cut improvement.  The
+// pass itself is PropRefiner<Partition> (prop_refiner.h); this header adds
+// Partition's move rules, the prop_refine wrapper with its FM fallback and
+// the Bipartitioner adapter.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "core/prob_gain.h"
 #include "core/prop_config.h"
-#include "datastruct/avl_tree.h"
+#include "core/prop_refiner.h"
 #include "partition/partition.h"
 #include "partition/partitioner.h"
+#include "telemetry/invariant_audit.h"
 
 namespace prop {
 
-/// Improves `part` in place with PROP passes until no positive gain.
+/// Partition's move rules: BalanceConstraint feasibility and the immediate
+/// cut gain (paper Eqn. 1).
+template <>
+struct PropMoveRules<Partition> {
+  const BalanceConstraint* balance;
+
+  bool feasible(const Partition& part, NodeId from, NodeId /*to*/,
+                std::int64_t size) const noexcept {
+    return balance->move_feasible(part.side_size(0), static_cast<int>(from),
+                                  size);
+  }
+  double gain(const Partition& part, NodeId u, NodeId /*to*/) const noexcept {
+    return part.immediate_gain(u);
+  }
+  double cost(const Partition& part) const noexcept { return part.cut_cost(); }
+  void move(Partition& part, NodeId u, NodeId /*to*/) const { part.move(u); }
+  void check_cost(const Partition& part, double tol) const {
+    audit::check_cut(part, tol);
+  }
+};
+
+extern template class PropRefiner<Partition>;
+
+/// Improves `part` in place with PROP passes until no positive gain.  When
+/// the drift chain gives up, refinement finishes with deterministic FM.
 RefineOutcome prop_refine(Partition& part, const BalanceConstraint& balance,
                           const PropConfig& config = {});
-
-/// Reusable PROP pass engine.  Owns the gain calculator, the per-side AVL
-/// trees and every per-pass scratch vector (gains, deltas, move log, visit
-/// stamps), so repeated passes allocate nothing after construction — the
-/// gain-kernel microbenchmark asserts exactly that.  `part`, `balance` and
-/// `config` must outlive the refiner.  prop_refine() is the convenience
-/// wrapper that adds the pass loop and the deterministic-FM fallback.
-class PropRefiner {
- public:
-  PropRefiner(Partition& part, const BalanceConstraint& balance,
-              const PropConfig& config);
-
-  /// Runs one PROP pass (steps 3-10 of Fig. 2): bootstrap probabilities,
-  /// speculatively move every feasible node by probabilistic gain, roll
-  /// back to the maximum prefix of immediate gains.  Returns the accepted
-  /// improvement.
-  double run_pass(PassStats* stats = nullptr);
-
-  /// Deadline/cancellation stopped the last pass early (sticky).
-  bool interrupted() const noexcept { return interrupted_; }
-  /// The drift degradation chain gave up on probabilistic gains (sticky);
-  /// the caller should finish with deterministic FM.
-  bool fallback_to_fm() const noexcept { return fallback_to_fm_; }
-  /// Emergency resyncs performed across all passes of this refiner.
-  int emergency_resyncs() const noexcept { return emergency_resyncs_; }
-
-  const ProbGainCalculator<Partition>& calculator() const noexcept { return calc_; }
-
- private:
-  using GainTree = AvlTree<double>;
-
-  void bootstrap_probabilities();
-  void refresh_node(NodeId v, PassStats* stats);
-  void resync_gains(PassStats* stats);
-  double audit(PassStats* stats, bool expect_scratch_match) const;
-
-  Partition* part_;
-  const BalanceConstraint* balance_;
-  const PropConfig* config_;
-  ProbGainCalculator<Partition> calc_;
-  GainTree side0_;
-  GainTree side1_;
-
-  // Per-pass workspace, cleared and reused across passes instead of
-  // reallocated (perf: the bootstrap + move loop must be allocation-free).
-  std::vector<double> gains_;
-  std::vector<double> delta_;
-  std::vector<NodeId> moved_;
-  std::vector<NodeId> to_refresh_;
-  std::vector<std::uint32_t> visit_stamp_;
-  // Pass-start (gain, node) staging for the sorted bulk load of the trees.
-  std::vector<std::pair<double, NodeId>> sort_scratch_[2];
-  std::uint32_t stamp_ = 0;
-
-  bool interrupted_ = false;
-  bool fallback_to_fm_ = false;
-  int emergency_resyncs_ = 0;
-};
 
 class PropPartitioner final : public Bipartitioner {
  public:

@@ -1,0 +1,605 @@
+// The PROP pass engine for every number of parts k (paper Fig. 2 with the
+// Sec. 3.4 update policy; k > 2 is the paper's Sec. 5 k-way direction).
+//
+// One class template serves Partition (k = 2, core/prop_partitioner.h) and
+// KWayState (kway/kway_prop_refiner.h).  Each pass:
+//   * bootstraps probabilities and iterates gains -> probabilities
+//     (Sec. 3.3);
+//   * gives every free node k - 1 probabilistic gains, one per target
+//     part, and keeps it in its part's AVL tree keyed by the best of them;
+//   * step 6: takes the best feasible move of each part's tree; the highest
+//     gain wins, and gains within kGainEps go to the heavier source part;
+//   * steps 7-8: locks and moves the winner, applies before/after per-net
+//     gain deltas to every free pin of its nets, then recomputes the top
+//     top_update_width nodes of the source and target trees from scratch
+//     ("a few, say five, of the top ranked nodes", Sec. 3.4);
+//   * step 10: rolls back to the maximum prefix of exact objective gains,
+//     so every accepted pass is a true improvement.
+// At k = 2 every rule reduces to the paper's bisection.  What differs per
+// caller is PropMoveRules<State>: move feasibility, the exact objective and
+// how a move is applied.
+//
+// Drift chain: audits (PropConfig::audit_interval) measure how far the
+// incremental gains are from a scratch recompute.  Drift beyond
+// kDriftHardBound, or an injected prop-drift fault, triggers an emergency
+// resync; after kMaxEmergencyResyncs of those the engine rolls the pass
+// back and reports drift_gave_up(), and the caller ends the chain (FM at
+// k = 2, a plain stop at k > 2).
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/prob_gain.h"
+#include "core/prop_config.h"
+#include "datastruct/avl_tree.h"
+#include "hypergraph/hypergraph.h"
+#include "telemetry/invariant_audit.h"
+#include "util/timer.h"
+
+namespace prop {
+
+/// A caller's move rules: feasibility of moving a node of `size` from part
+/// `from` to part `to`, the exact objective gain the prefix is judged by,
+/// the objective cost, applying a move, and auditing the incremental cost.
+/// Specialized once per State, next to its PropRefiner instantiation.
+template <typename State>
+struct PropMoveRules;
+
+template <typename State>
+class PropRefiner {
+ public:
+  /// A pass must improve the exact objective by more than this to count.
+  static constexpr double kEps = 1e-9;
+  /// Probabilistic gains are products/sums of doubles, so exact comparisons
+  /// essentially never fire; anything within this absolute tolerance is
+  /// treated as equal (selection ties) or as unchanged (delta application,
+  /// top-node refreshes).
+  static constexpr double kGainEps = 1e-12;
+  /// Audited gain drift above this bound triggers an emergency resync.
+  /// Cache drift between epoch renormalizations is ~1e-14, so only real
+  /// divergence reaches it.
+  static constexpr double kDriftHardBound = 1e-3;
+  /// Emergency resyncs one refiner performs before giving up on
+  /// probabilistic gains.
+  static constexpr int kMaxEmergencyResyncs = 3;
+
+  /// `state`, the rules' referents and `config` must outlive the refiner.
+  /// Owns the gain calculator, the per-part trees and every per-pass
+  /// scratch vector, so passes after the first allocate nothing — the
+  /// gain-kernel microbenchmark asserts exactly that.
+  PropRefiner(State& state, PropMoveRules<State> rules,
+              const PropConfig& config);
+
+  /// One pass (steps 3-10 of Fig. 2).  Returns the accepted improvement.
+  double run_pass(PassStats* stats = nullptr);
+
+  /// Runs passes until one gains nothing, config.max_passes is reached,
+  /// the run is interrupted or the drift chain gives up, recording one
+  /// PassStats per pass when config.telemetry is set.  Returns the passes
+  /// run.
+  int refine();
+
+  /// Deadline/cancellation stopped the last pass early (sticky).
+  bool interrupted() const noexcept { return interrupted_; }
+  /// The drift chain gave up on probabilistic gains (sticky); the pass was
+  /// rolled back to its best prefix.
+  bool drift_gave_up() const noexcept { return drift_gave_up_; }
+
+ private:
+  using GainTree = AvlTree<double>;
+
+  struct Move {
+    NodeId node = kInvalidNode;
+    NodeId from = 0;
+    NodeId to = 0;
+    double gain = 0.0;
+  };
+
+  struct MoveRecord {
+    NodeId node;
+    NodeId from;
+  };
+
+  NodeId targets() const noexcept { return state_->k() - 1; }
+  /// Target part of v's j-th gain slot (slots skip v's own part).
+  static NodeId target(NodeId from, NodeId j) noexcept {
+    return j < from ? j : j + 1;
+  }
+  /// First of v's gain slots; slot j holds the gain toward target(part, j).
+  std::size_t base(NodeId v) const noexcept {
+    return static_cast<std::size_t>(v) * targets();
+  }
+  /// Index of target `to` among v's gain slots.
+  NodeId slot_of(NodeId v, NodeId to) const noexcept {
+    if (targets() == 1) return 0;  // k = 2: one slot, no part lookup
+    return to < state_->part(v) ? to : to - 1;
+  }
+  double best_gain(NodeId v) const noexcept;
+
+  void bootstrap_probabilities();
+  void load_trees(PassStats* stats);
+  Move feasible_move(NodeId u, std::int64_t size) const;
+  Move best_move(NodeId p, bool unit_sizes) const;
+  void first_visit(NodeId v);
+  void apply_deltas(PassStats* stats);
+  void reposition(NodeId v, PassStats* stats);
+  void refresh_node(NodeId v, PassStats* stats);
+  void resync_gains(PassStats* stats);
+  double audit(PassStats* stats, bool expect_scratch_match) const;
+
+  State* state_;
+  PropMoveRules<State> rules_;
+  const PropConfig* config_;
+  ProbGainCalculator<State> calc_;
+  GainTree trees_;  // one tree per part over one node array
+
+  // Per-pass workspace, cleared and reused across passes instead of
+  // reallocated (perf: the bootstrap + move loop must be allocation-free).
+  std::vector<double> gains_;  // (k - 1) slots per node
+  // Per-move gain deltas: k - 1 per visited node, in visit order (only
+  // the visited prefix is ever touched).
+  std::vector<double> delta_;
+  std::vector<double> fresh_;  // k - 1 scratch gains of one node
+  std::vector<MoveRecord> moved_;
+  std::vector<NodeId> to_refresh_;
+  std::vector<std::uint32_t> visit_stamp_;
+  std::vector<std::uint32_t> visit_index_;  // v's position in to_refresh_
+  std::vector<std::pair<double, NodeId>> sort_scratch_;
+  std::uint32_t stamp_ = 0;
+
+  bool interrupted_ = false;
+  bool drift_gave_up_ = false;
+  int emergency_resyncs_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Member definitions.  Both instantiations are explicit: prop_core compiles
+// Partition (core/prop_partitioner.cpp), prop_kway compiles KWayState
+// (kway/kway_prop_refiner.cpp).
+
+template <typename State>
+PropRefiner<State>::PropRefiner(State& state, PropMoveRules<State> rules,
+                                const PropConfig& config)
+    : state_(&state),
+      rules_(rules),
+      config_(&config),
+      calc_(state, config.gain_engine),
+      trees_(state.graph().num_nodes(), state.k()),
+      gains_(static_cast<std::size_t>(state.graph().num_nodes()) * targets(),
+             0.0),
+      fresh_(targets(), 0.0),
+      visit_stamp_(state.graph().num_nodes(), 0),
+      visit_index_(state.graph().num_nodes(), 0) {
+  const NodeId n = state.graph().num_nodes();
+  moved_.reserve(n);
+  to_refresh_.reserve(n);
+  delta_.reserve(gains_.size());
+  sort_scratch_.reserve(n);
+}
+
+template <typename State>
+double PropRefiner<State>::best_gain(NodeId v) const noexcept {
+  const double* g = &gains_[base(v)];
+  double best = g[0];
+  for (NodeId j = 1; j < targets(); ++j) best = std::max(best, g[j]);
+  return best;
+}
+
+/// Steps 3-4 of Fig. 2: bootstrap probabilities, then iterate
+/// gains -> probabilities `refine_iterations` times.  Leaves gains_ filled
+/// with the final probabilistic gains.  Under the cached engine the gain
+/// sweep is net-major — one for_each_net_gain emission per net, O(sum |n|)
+/// total; the scratch engine keeps the legacy node-major sweep
+/// (O(sum deg(u) * |n|)), which is the cost model the gain-kernel
+/// benchmark measures it by.  kShadow deliberately follows the scratch
+/// branch so a shadow run is decision-identical to a scratch run.
+template <typename State>
+void PropRefiner<State>::bootstrap_probabilities() {
+  const State& state = *state_;
+  const PropConfig& config = *config_;
+  const NodeId n = state.graph().num_nodes();
+  for (NodeId u = 0; u < n; ++u) {
+    double p = config.model.pinit;
+    if (config.bootstrap == PropBootstrap::kDeterministicGain) {
+      double best = rules_.gain(state, u, target(state.part(u), 0));
+      for (NodeId j = 1; j < targets(); ++j) {
+        best = std::max(best, rules_.gain(state, u, target(state.part(u), j)));
+      }
+      p = config.model.from_gain(best);
+    }
+    calc_.set_probability(u, p);
+  }
+  const NetId nets = state.graph().num_nets();
+  for (int iter = 0; iter < config.refine_iterations; ++iter) {
+    // Gains from the current probability snapshot...
+    if (config.gain_engine == GainEngine::kCached) {
+      std::fill(gains_.begin(), gains_.end(), 0.0);
+      for (NetId net = 0; net < nets; ++net) {
+        calc_.for_each_net_gain(net, [&](NodeId v, NodeId to, double gv) {
+          gains_[base(v) + slot_of(v, to)] += gv;
+        });
+      }
+    } else {
+      for (NodeId u = 0; u < n; ++u) calc_.gains(u, &gains_[base(u)]);
+    }
+    // ...then probabilities from those gains.
+    for (NodeId u = 0; u < n; ++u) {
+      calc_.set_probability(u, config.model.from_gain(best_gain(u)));
+    }
+  }
+}
+
+/// Bulk-loads each part's tree: stage (best gain, node), sort ascending
+/// with node id as the tie key, link as a balanced tree in O(n).  Equal
+/// gains end up in node order — the same LIFO recency order inserting
+/// node by node would produce.  (std::sort, not stable_sort: the latter
+/// allocates, and this path must stay allocation-free across passes.)
+template <typename State>
+void PropRefiner<State>::load_trees(PassStats* stats) {
+  const State& state = *state_;
+  const NodeId n = state.graph().num_nodes();
+  for (NodeId p = 0; p < state.k(); ++p) {
+    sort_scratch_.clear();
+    for (NodeId u = 0; u < n; ++u) {
+      if (state.part(u) == p) sort_scratch_.emplace_back(best_gain(u), u);
+    }
+    std::sort(sort_scratch_.begin(), sort_scratch_.end());
+    trees_.assign_sorted(sort_scratch_.data(),
+                         static_cast<std::uint32_t>(sort_scratch_.size()), p);
+  }
+  if (stats) stats->ops.inserts += n;
+}
+
+/// u's best feasible target by stored gain (lowest part id on ties), or
+/// node == kInvalidNode when no target admits a node of `size`.
+template <typename State>
+typename PropRefiner<State>::Move PropRefiner<State>::feasible_move(
+    NodeId u, std::int64_t size) const {
+  const NodeId from = state_->part(u);
+  const std::size_t first = base(u);
+  Move m;
+  for (NodeId j = 0; j < targets(); ++j) {
+    const NodeId to = target(from, j);
+    if (!rules_.feasible(*state_, from, to, size)) continue;
+    const double g = gains_[first + j];
+    if (m.node == kInvalidNode || g > m.gain + kGainEps) m = {u, from, to, g};
+  }
+  return m;
+}
+
+/// Step 6 within one part: the first node of p's tree, in descending gain
+/// order, that has a feasible target.  With unit node sizes feasibility
+/// depends only on (from, to), so the tree's max decides for all of p
+/// instead of walking past every infeasible node.
+template <typename State>
+typename PropRefiner<State>::Move PropRefiner<State>::best_move(
+    NodeId p, bool unit_sizes) const {
+  if (trees_.empty(p)) return {};
+  if (unit_sizes) return feasible_move(trees_.max(p), 1);
+  const Hypergraph& g = state_->graph();
+  Move found;
+  trees_.for_each_descending(
+      [&](GainTree::Handle h, double) {
+        found = feasible_move(h, g.node_size(h));
+        return found.node == kInvalidNode;
+      },
+      p);
+  return found;
+}
+
+/// Registers v as visited by the current move, with zeroed deltas.  Kept
+/// out of the per-emission path so that path stays small enough to inline.
+template <typename State>
+void PropRefiner<State>::first_visit(NodeId v) {
+  visit_stamp_[v] = stamp_;
+  visit_index_[v] = static_cast<std::uint32_t>(to_refresh_.size());
+  to_refresh_.push_back(v);
+  delta_.resize(delta_.size() + targets(), 0.0);
+}
+
+/// Step 8 / Sec. 3.4: adds each visited node's accumulated per-target
+/// deltas to gains_ and repositions it.  An exact == 0.0 test never fires
+/// once real contributions cancel: the -old/+new accumulation leaves FP
+/// residue.  Residue-sized deltas count as "contribution unchanged" so
+/// they neither trigger tree updates nor seep into gains_.
+template <typename State>
+void PropRefiner<State>::apply_deltas(PassStats* stats) {
+  const double* delta = delta_.data();
+  for (const NodeId v : to_refresh_) {
+    const std::size_t first = base(v);
+    bool changed = false;
+    for (NodeId j = 0; j < targets(); ++j, ++delta) {
+      if (std::abs(*delta) <= kGainEps) continue;
+      gains_[first + j] += *delta;
+      changed = true;
+    }
+    if (changed) reposition(v, stats);
+  }
+}
+
+/// Re-keys v's tree entry by its best gain — unless that is unchanged, as
+/// when only a non-best target's gain moved — and rewrites its
+/// probability.
+template <typename State>
+void PropRefiner<State>::reposition(NodeId v, PassStats* stats) {
+  const double best = best_gain(v);
+  if (trees_.contains(v) && trees_.key(v) != best) {
+    trees_.update(v, best);
+    if (stats) ++stats->ops.updates;
+  }
+  calc_.set_probability(v, config_->model.from_gain(best));
+}
+
+/// Recomputes the gains and probability of one free node from scratch at
+/// the current probability state.  When every recomputed gain matches the
+/// stored one within kGainEps, the node's tree position and probability
+/// are already right — skip the AVL remove/reinsert churn entirely
+/// (counted as a refresh_skip in telemetry).
+template <typename State>
+void PropRefiner<State>::refresh_node(NodeId v, PassStats* stats) {
+  const std::size_t first = base(v);
+  calc_.gains(v, fresh_.data());
+  bool moved = false;
+  for (NodeId j = 0; j < targets(); ++j) {
+    if (std::abs(fresh_[j] - gains_[first + j]) > kGainEps) moved = true;
+  }
+  if (!moved) {
+    if (stats) ++stats->refresh_skips;
+    return;
+  }
+  std::copy(fresh_.begin(), fresh_.end(), gains_.begin() + first);
+  reposition(v, stats);
+}
+
+/// Drift-bounding resync (PropConfig::resync_interval and the emergency
+/// resyncs): renormalizes the cached products exactly, then recomputes the
+/// gains of every free node from scratch at the current probability state
+/// and refreshes the tree keys.  Probabilities are deliberately left to
+/// the normal per-move updates, so immediately after this sweep gains_
+/// agrees with ProbGainCalculator::gain exactly.
+template <typename State>
+void PropRefiner<State>::resync_gains(PassStats* stats) {
+  calc_.renormalize_all();
+  const NodeId n = state_->graph().num_nodes();
+  for (NodeId v = 0; v < n; ++v) {
+    if (!calc_.is_free(v)) continue;
+    calc_.gains(v, &gains_[base(v)]);
+    if (trees_.contains(v)) {
+      trees_.update(v, best_gain(v));
+      if (stats) ++stats->ops.updates;
+    }
+    if (stats) ++stats->resyncs;
+  }
+}
+
+/// Debug audit (PropConfig::audit_interval): asserts the exact incremental
+/// invariants — locked-pin counts, cached products vs the scratch oracle,
+/// probability bounds, tree membership and tree keys vs gains_, incremental
+/// objective cost — and records the gap between gains_ and a from-scratch
+/// recompute as telemetry drift.  The gap is hard-asserted only when
+/// `expect_scratch_match` is set (right after a resync): in between, gains_
+/// is stale w.r.t. later probability updates of neighboring nodes *by
+/// design* (the paper's Sec. 3.4 update policy).  Returns the max absolute
+/// drift observed (feeds the degradation chain).
+template <typename State>
+double PropRefiner<State>::audit(PassStats* stats,
+                                 bool expect_scratch_match) const {
+  const State& state = *state_;
+  const PropConfig& config = *config_;
+  rules_.check_cost(state, config.audit_tolerance);
+  calc_.audit_consistency();
+  audit::DriftTracker drift;
+  const NodeId n = state.graph().num_nodes();
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId own = state.part(v);
+    if (!calc_.is_free(v)) {
+      audit::check_node(!trees_.contains(v),
+                        "PROP: locked node still in a gain tree", v);
+      continue;
+    }
+    audit::check_node(trees_.tree_of(v) == own,
+                      "PROP: free node not in its part's gain tree", v);
+    audit::check_node(trees_.key(v) == best_gain(v),
+                      "PROP: tree key out of sync with gains[]", v);
+    for (NodeId j = 0; j < targets(); ++j) {
+      const double stored = gains_[base(v) + j];
+      const double scratch = calc_.gain(v, target(own, j));
+      drift.observe(v, stored, scratch);
+      if (expect_scratch_match) {
+        audit::check_close(stored, scratch, config.audit_tolerance,
+                           "PROP gain after resync", v);
+      }
+    }
+  }
+  if (stats) {
+    ++stats->audits;
+    if (drift.max_abs > stats->max_gain_drift) {
+      stats->max_gain_drift = drift.max_abs;
+    }
+  }
+  return drift.max_abs;
+}
+
+template <typename State>
+double PropRefiner<State>::run_pass(PassStats* stats) {
+  State& state = *state_;
+  const PropConfig& config = *config_;
+  const Hypergraph& g = state.graph();
+  const NodeId n = g.num_nodes();
+
+  // The visit-stamp epoch survives across passes (visit_stamp_ is reused,
+  // not reallocated); rewind it before it can wrap around: at most one
+  // stamp per move, at most n moves.
+  if (static_cast<std::uint64_t>(stamp_) + n + 1 >=
+      static_cast<std::uint32_t>(-1)) {
+    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
+    stamp_ = 0;
+  }
+
+  calc_.reset();
+  bootstrap_probabilities();
+  load_trees(stats);
+
+  moved_.clear();
+  double prefix = 0.0;
+  double best_prefix = 0.0;
+  std::size_t best_count = 0;
+  const bool unit_sizes = g.unit_node_sizes();
+  const RunContext* ctx = config.context;
+
+  while (true) {
+    if (ctx && ctx->refine_should_stop()) {
+      interrupted_ = true;
+      break;
+    }
+    // Step 6: the best feasible move over every part's tree.  Gain ties
+    // (within FP tolerance — an exact comparison of probability products
+    // never ties) go to the heavier source part, mirroring FM.
+    Move pick;
+    for (NodeId p = 0; p < state.k(); ++p) {
+      const Move m = best_move(p, unit_sizes);
+      if (m.node == kInvalidNode) continue;
+      if (pick.node == kInvalidNode || m.gain > pick.gain + kGainEps ||
+          (std::abs(m.gain - pick.gain) <= kGainEps &&
+           state.part_size(p) > state.part_size(pick.from))) {
+        pick = m;
+      }
+    }
+    if (pick.node == kInvalidNode) break;
+
+    // Step 7: the recorded prefix uses the exact objective gain.
+    const NodeId u = pick.node;
+    const NodeId from = pick.from;
+    const NodeId to = pick.to;
+    const double immediate = rules_.gain(state, u, to);
+    trees_.erase(u);
+    if (stats) ++stats->ops.erases;
+
+    // Step 8 / Sec. 3.4: after moving u, the removal probabilities of u's
+    // nets change, so every free pin of those nets gets the before/after
+    // delta of that net's gain contributions — O(pins of u's nets * (k-1))
+    // per move.
+    ++stamp_;
+    to_refresh_.clear();
+    delta_.clear();
+    const auto visit = [&](double sign) {
+      for (const NetId net : g.nets_of(u)) {
+        calc_.for_each_net_gain(net, [&](NodeId v, NodeId vto, double gv) {
+          if (v == u) return;
+          if (visit_stamp_[v] != stamp_) first_visit(v);
+          delta_[std::size_t{visit_index_[v]} * targets() + slot_of(v, vto)] +=
+              sign * gv;
+        });
+      }
+    };
+    visit(-1.0);
+    calc_.lock(u);
+    rules_.move(state, u, to);
+    calc_.move_locked(u, from);
+    visit(+1.0);
+    apply_deltas(stats);
+
+    if (config.top_update_width > 0) {
+      for (const NodeId p : {std::min(from, to), std::max(from, to)}) {
+        to_refresh_.clear();
+        int budget = config.top_update_width;
+        trees_.for_each_descending(
+            [&](GainTree::Handle h, double) {
+              to_refresh_.push_back(h);
+              return --budget > 0;
+            },
+            p);
+        for (const NodeId v : to_refresh_) refresh_node(v, stats);
+      }
+    }
+
+    moved_.push_back({u, from});
+    prefix += immediate;
+    if (prefix > best_prefix + kEps) {
+      best_prefix = prefix;
+      best_count = moved_.size();
+    }
+
+    const bool audit_due =
+        config.audit_interval > 0 &&
+        moved_.size() % static_cast<std::size_t>(config.audit_interval) == 0;
+    const bool resync_due =
+        config.resync_interval > 0 &&
+        moved_.size() % static_cast<std::size_t>(config.resync_interval) == 0;
+    double observed_drift = 0.0;
+    if (audit_due) {
+      // Records the accumulated drift since the last resync (or pass start).
+      observed_drift = audit(stats, /*expect_scratch_match=*/false);
+    }
+    if (resync_due) {
+      resync_gains(stats);
+      if (audit_due) {
+        // Post-resync, gains[] must equal the scratch recompute exactly.
+        audit(stats, /*expect_scratch_match=*/true);
+      }
+    }
+
+    // Degradation chain: drift beyond the hard bound (or an injected
+    // prop-drift fault) means the incremental probabilistic bookkeeping is
+    // diverging.  First line of defense is an emergency resync — the same
+    // sweep as resync_interval, just demand-driven; past
+    // kMaxEmergencyResyncs the engine gives up on probabilistic gains and
+    // leaves the last link of the chain to its caller.
+    bool drift_blowup = observed_drift > kDriftHardBound;
+    if (ctx && ctx->inject(FaultSite::kPropDrift)) drift_blowup = true;
+    if (drift_blowup) {
+      ++emergency_resyncs_;
+      if (emergency_resyncs_ > kMaxEmergencyResyncs) {
+        drift_gave_up_ = true;
+        break;  // roll back to the best prefix
+      }
+      resync_gains(stats);
+      if (ctx) {
+        ctx->degrade("prop.gain-drift", "resync",
+                     "drift " + std::to_string(observed_drift) + " at move " +
+                         std::to_string(moved_.size()));
+      }
+    }
+  }
+
+  // Step 10: keep only the maximum-prefix moves, undoing newest first.
+  for (std::size_t i = moved_.size(); i > best_count; --i) {
+    rules_.move(state, moved_[i - 1].node, moved_[i - 1].from);
+  }
+  if (stats) {
+    stats->moves_attempted = moved_.size();
+    stats->moves_accepted = best_count;
+    stats->best_prefix_gain = best_prefix;
+  }
+  return best_prefix;
+}
+
+template <typename State>
+int PropRefiner<State>::refine() {
+  const PropConfig& config = *config_;
+  int passes = 0;
+  for (int pass = 0; pass < config.max_passes; ++pass) {
+    PassStats* stats = nullptr;
+    WallTimer wall;
+    ThreadCpuTimer cpu;
+    if (config.telemetry) {
+      stats = &config.telemetry->begin_pass(rules_.cost(*state_));
+    }
+    const double gained = run_pass(stats);
+    ++passes;
+    if (stats) {
+      stats->cut_after = rules_.cost(*state_);
+      stats->wall_seconds = wall.seconds();
+      stats->cpu_seconds = cpu.seconds();
+    }
+    if (interrupted_ || drift_gave_up_ || gained <= kEps) break;
+  }
+  return passes;
+}
+
+}  // namespace prop

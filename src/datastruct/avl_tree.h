@@ -3,8 +3,11 @@
 // nodes, according to their gains, in a balanced binary AVL tree",
 // Sec. 3.5).
 //
-// Each handle (a node id in [0, capacity)) appears at most once.  All
-// storage is in flat arrays indexed by handle, so there is no per-operation
+// One AvlTree object holds `trees` independent trees (default 1) over one
+// handle space: each handle (a node id in [0, capacity)) sits in at most
+// one of them at a time, so the trees share one node array — k-way PROP
+// keeps one tree per part at the memory of a single tree.  All storage is
+// in flat arrays indexed by handle, so there is no per-operation
 // allocation.  Duplicate keys are allowed; among equal keys the most
 // recently inserted handle is returned first by max(), giving the LIFO
 // tie-breaking that FM-family implementations traditionally use.
@@ -14,60 +17,72 @@
 // tests (tests/datastruct/avl_tree_test.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 namespace prop {
 
-template <typename Key, typename Compare = std::less<Key>>
+template <typename Key>
 class AvlTree {
  public:
   using Handle = std::uint32_t;
   static constexpr Handle kNull = static_cast<Handle>(-1);
+  /// tree_of() of a handle that is in no tree.
+  static constexpr std::uint16_t kNoTree = static_cast<std::uint16_t>(-1);
 
-  explicit AvlTree(Handle capacity, Compare cmp = Compare())
-      : cmp_(cmp),
-        nodes_(capacity, Node{Key(), kNull, kNull, kNull, 0}),
-        in_tree_(capacity, 0) {}
-
-  Handle capacity() const noexcept { return static_cast<Handle>(nodes_.size()); }
-  std::uint32_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-  bool contains(Handle h) const noexcept { return in_tree_[h] != 0; }
-  const Key& key(Handle h) const noexcept { return nodes_[h].key; }
-
-  void clear() {
-    if (size_ == 0) return;
-    std::fill(in_tree_.begin(), in_tree_.end(), 0);
-    root_ = kNull;
-    max_ = kNull;
-    size_ = 0;
+  /// `trees` must be below kNoTree.
+  explicit AvlTree(Handle capacity, std::uint32_t trees = 1)
+      : nodes_(capacity, Node{Key(), kNull, kNull, kNull, 0}),
+        tree_of_(capacity, kNoTree),
+        roots_(trees) {
+    assert(trees < kNoTree);
   }
 
-  /// Inserts handle h with the given key.  h must not be present.
-  void insert(Handle h, Key key) {
+  Handle capacity() const noexcept { return static_cast<Handle>(nodes_.size()); }
+  std::uint32_t size(std::uint32_t t = 0) const noexcept {
+    return roots_[t].size;
+  }
+  bool empty(std::uint32_t t = 0) const noexcept {
+    return roots_[t].size == 0;
+  }
+  /// h sits in one of the trees.
+  bool contains(Handle h) const noexcept { return tree_of_[h] != kNoTree; }
+  /// The tree h sits in, or kNoTree.
+  std::uint16_t tree_of(Handle h) const noexcept { return tree_of_[h]; }
+  const Key& key(Handle h) const noexcept { return nodes_[h].key; }
+
+  /// Empties every tree.
+  void clear() {
+    std::fill(tree_of_.begin(), tree_of_.end(), kNoTree);
+    std::fill(roots_.begin(), roots_.end(), Root{});
+  }
+
+  /// Inserts handle h with the given key into tree t.  h must not be
+  /// present in any tree.
+  void insert(Handle h, Key key, std::uint32_t t = 0) {
     assert(!contains(h));
     nodes_[h].key = std::move(key);
     nodes_[h].left = nodes_[h].right = kNull;
     nodes_[h].height = 1;
-    in_tree_[h] = 1;
-    ++size_;
+    tree_of_[h] = static_cast<std::uint16_t>(t);
+    Root& r = roots_[t];
+    ++r.size;
     // Maintain the O(1) max: a new key >= the current max becomes the
     // rightmost node (ties descend right), i.e. the new max.
-    if (max_ == kNull || !cmp_(nodes_[h].key, nodes_[max_].key)) max_ = h;
-    if (root_ == kNull) {
+    if (r.max == kNull || !(nodes_[h].key < nodes_[r.max].key)) r.max = h;
+    if (r.root == kNull) {
       nodes_[h].parent = kNull;
-      root_ = h;
+      r.root = h;
       return;
     }
-    Handle cur = root_;
+    Handle cur = r.root;
     for (;;) {
       // Ties descend right so the newest equal-key handle is rightmost,
       // i.e. returned first by max().
-      if (cmp_(nodes_[h].key, nodes_[cur].key)) {
+      if (nodes_[h].key < nodes_[cur].key) {
         if (nodes_[cur].left == kNull) {
           nodes_[cur].left = h;
           break;
@@ -85,13 +100,14 @@ class AvlTree {
     rebalance_up(cur);
   }
 
-  /// Removes handle h.  h must be present.
+  /// Removes handle h from its tree.  h must be present.
   void erase(Handle h) {
     assert(contains(h));
+    Root& r = roots_[tree_of_[h]];
     // The max's predecessor (computed while h is still linked) becomes the
     // new max; the max has no right child, so it never hits the two-child
     // splice below.
-    if (h == max_) max_ = prev(h);
+    if (h == r.max) r.max = prev(h);
     Handle rebalance_from = kNull;
     if (nodes_[h].left != kNull && nodes_[h].right != kNull) {
       // Two children: splice in the successor (min of right subtree).
@@ -114,8 +130,8 @@ class AvlTree {
       rebalance_from = nodes_[h].parent;
       replace_at_parent(h, child);
     }
-    in_tree_[h] = 0;
-    --size_;
+    tree_of_[h] = kNoTree;
+    --r.size;
     if (rebalance_from != kNull) rebalance_up(rebalance_from);
   }
 
@@ -129,17 +145,17 @@ class AvlTree {
   void update(Handle h, Key key) {
     assert(contains(h));
     const Handle p = prev(h);
-    if (p == kNull || cmp_(nodes_[p].key, key)) {
+    if (p == kNull || nodes_[p].key < key) {
       const Handle s = next(h);
-      if (s == kNull || cmp_(key, nodes_[s].key)) {
+      if (s == kNull || key < nodes_[s].key) {
         // In-order position (and hence the max handle) is unchanged.
         nodes_[h].key = std::move(key);
         return;
       }
-    } else {
     }
+    const std::uint32_t t = tree_of_[h];
     erase(h);
-    insert(h, std::move(key));
+    insert(h, std::move(key), t);
   }
 
   /// Rebuilds the whole tree as the perfectly height-balanced BST over
@@ -148,28 +164,33 @@ class AvlTree {
   /// max()/prev()/next()/LIFO tie order — everything observable) is exactly
   /// what inserting the items oldest-first would produce, but the links are
   /// set up in O(n) instead of n log n root descents.  This is the pass-
-  /// start bulk load of the refiners.
-  void assign_sorted(const std::pair<Key, Handle>* items,
-                     std::uint32_t count) {
-    clear();
+  /// start bulk load of the refiners.  Replaces tree t's contents; the
+  /// items' handles must not sit in any other tree.
+  void assign_sorted(const std::pair<Key, Handle>* items, std::uint32_t count,
+                     std::uint32_t t = 0) {
+    for (Handle h = roots_[t].max; h != kNull; h = prev(h)) {
+      tree_of_[h] = kNoTree;
+    }
+    roots_[t] = Root{};
     if (count == 0) return;
     assert(count <= capacity());
-    root_ = build_range(items, 0, count, kNull);
-    max_ = items[count - 1].second;
-    size_ = count;
+    Root& r = roots_[t];
+    r.root = build_range(items, 0, count, kNull, t);
+    r.max = items[count - 1].second;
+    r.size = count;
   }
 
-  /// Handle with the maximum key (ties: most recently inserted).
-  /// Tree must be non-empty.  O(1): maintained across mutations.
-  Handle max() const noexcept {
-    assert(!empty());
-    return max_;
+  /// Handle with the maximum key of tree t (ties: most recently inserted).
+  /// The tree must be non-empty.  O(1): maintained across mutations.
+  Handle max(std::uint32_t t = 0) const noexcept {
+    assert(!empty(t));
+    return roots_[t].max;
   }
 
-  /// Handle with the minimum key.  Tree must be non-empty.
-  Handle min() const noexcept {
-    assert(!empty());
-    Handle cur = root_;
+  /// Handle with the minimum key of tree t.  The tree must be non-empty.
+  Handle min(std::uint32_t t = 0) const noexcept {
+    assert(!empty(t));
+    Handle cur = roots_[t].root;
     while (nodes_[cur].left != kNull) cur = nodes_[cur].left;
     return cur;
   }
@@ -212,27 +233,29 @@ class AvlTree {
     return up;
   }
 
-  /// Visits handles in descending key order while `visit` returns true.
+  /// Visits tree t's handles in descending key order while `visit`
+  /// returns true.
   template <typename Visitor>
-  void for_each_descending(Visitor&& visit) const {
-    if (empty()) return;
-    for (Handle h = max(); h != kNull; h = prev(h)) {
+  void for_each_descending(Visitor&& visit, std::uint32_t t = 0) const {
+    if (empty(t)) return;
+    for (Handle h = max(t); h != kNull; h = prev(h)) {
       if (!visit(h, nodes_[h].key)) return;
     }
   }
 
-  /// Validation helpers for tests: checks BST order, AVL balance, parent
-  /// links and size.  O(n).
-  bool check_invariants() const {
+  /// Validation helper for tests: checks tree t's BST order, AVL balance,
+  /// parent links, membership and size.  O(n).
+  bool check_invariants(std::uint32_t t = 0) const {
+    const Root& r = roots_[t];
     std::uint32_t counted = 0;
-    const int h = check_subtree(root_, kNull, counted);
-    if (h < 0 || counted != size_) return false;
+    const int h = check_subtree(r.root, kNull, t, counted);
+    if (h < 0 || counted != r.size) return false;
     // The cached max must be the rightmost node.
-    Handle rightmost = root_;
+    Handle rightmost = r.root;
     while (rightmost != kNull && nodes_[rightmost].right != kNull) {
       rightmost = nodes_[rightmost].right;
     }
-    return max_ == rightmost;
+    return r.max == rightmost;
   }
 
  private:
@@ -240,15 +263,15 @@ class AvlTree {
   /// returns its root.  The mid split keeps subtree sizes within 1 of each
   /// other, so heights differ by at most 1 — a valid AVL shape.
   Handle build_range(const std::pair<Key, Handle>* items, std::uint32_t lo,
-                     std::uint32_t hi, Handle parent) {
+                     std::uint32_t hi, Handle parent, std::uint32_t t) {
     if (lo >= hi) return kNull;
     const std::uint32_t mid = lo + (hi - lo) / 2;
     const Handle h = items[mid].second;
     nodes_[h].key = items[mid].first;
-    in_tree_[h] = 1;
+    tree_of_[h] = static_cast<std::uint16_t>(t);
     nodes_[h].parent = parent;
-    nodes_[h].left = build_range(items, lo, mid, h);
-    nodes_[h].right = build_range(items, mid + 1, hi, h);
+    nodes_[h].left = build_range(items, lo, mid, h, t);
+    nodes_[h].right = build_range(items, mid + 1, hi, h, t);
     const int hl = height_of(nodes_[h].left);
     const int hr = height_of(nodes_[h].right);
     nodes_[h].height = 1 + (hl > hr ? hl : hr);
@@ -280,7 +303,7 @@ class AvlTree {
   void replace_at_parent(Handle h, Handle replacement) noexcept {
     const Handle p = nodes_[h].parent;
     if (p == kNull) {
-      root_ = replacement;
+      roots_[tree_of_[h]].root = replacement;
       if (replacement != kNull) nodes_[replacement].parent = kNull;
     } else {
       set_child(p, h, replacement);
@@ -332,21 +355,20 @@ class AvlTree {
   }
 
   /// Returns subtree height, or -1 on any violated invariant.
-  int check_subtree(Handle h, Handle expected_parent,
+  int check_subtree(Handle h, Handle expected_parent, std::uint32_t t,
                     std::uint32_t& counted) const {
     if (h == kNull) return 0;
-    if (!in_tree_[h] || nodes_[h].parent != expected_parent) return -1;
+    if (tree_of_[h] != t || nodes_[h].parent != expected_parent) return -1;
     ++counted;
-    const int hl = check_subtree(nodes_[h].left, h, counted);
-    const int hr = check_subtree(nodes_[h].right, h, counted);
+    const int hl = check_subtree(nodes_[h].left, h, t, counted);
+    const int hr = check_subtree(nodes_[h].right, h, t, counted);
     if (hl < 0 || hr < 0) return -1;
     if (hl - hr > 1 || hr - hl > 1) return -1;
-    if (nodes_[h].left != kNull &&
-        cmp_(nodes_[h].key, nodes_[nodes_[h].left].key)) {
+    if (nodes_[h].left != kNull && nodes_[h].key < nodes_[nodes_[h].left].key) {
       return -1;
     }
     if (nodes_[h].right != kNull &&
-        cmp_(nodes_[nodes_[h].right].key, nodes_[h].key)) {
+        nodes_[nodes_[h].right].key < nodes_[h].key) {
       return -1;
     }
     const int height = 1 + (hl > hr ? hl : hr);
@@ -365,12 +387,15 @@ class AvlTree {
     std::int32_t height;
   };
 
-  Compare cmp_;
+  struct Root {
+    Handle root = kNull;
+    Handle max = kNull;
+    std::uint32_t size = 0;
+  };
+
   std::vector<Node> nodes_;
-  std::vector<std::uint8_t> in_tree_;
-  Handle root_ = kNull;
-  Handle max_ = kNull;
-  std::uint32_t size_ = 0;
+  std::vector<std::uint16_t> tree_of_;
+  std::vector<Root> roots_;
 };
 
 }  // namespace prop

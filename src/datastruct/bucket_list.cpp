@@ -12,7 +12,6 @@ BucketList::BucketList(Handle capacity, int max_gain)
       next_(capacity, kNull),
       prev_(capacity, kNull),
       gain_(capacity, 0),
-      target_(capacity, 0),
       in_list_(capacity, 0),
       top_(-max_gain) {
   if (max_gain < 0) throw std::invalid_argument("bucket: max_gain must be >= 0");
@@ -25,11 +24,10 @@ void BucketList::clear() {
   size_ = 0;
 }
 
-void BucketList::insert(Handle h, int gain, std::uint32_t target) {
+void BucketList::insert(Handle h, int gain) {
   assert(!contains(h));
   assert(gain >= -max_gain_ && gain <= max_gain_);
   gain_[h] = gain;
-  target_[h] = target;
   in_list_[h] = 1;
   const std::size_t b = index(gain);
   next_[h] = buckets_[b];
@@ -53,14 +51,10 @@ void BucketList::erase(Handle h) {
   --size_;
 }
 
-void BucketList::update(Handle h, int new_gain, std::uint32_t target) {
-  if (gain_[h] == new_gain && target_[h] == target && contains(h)) return;
-  if (gain_[h] == new_gain && contains(h)) {
-    target_[h] = target;  // payload-only change: no relink needed
-    return;
-  }
+void BucketList::update(Handle h, int new_gain) {
+  if (gain_[h] == new_gain && contains(h)) return;
   erase(h);
-  insert(h, new_gain, target);
+  insert(h, new_gain);
 }
 
 BucketList::Handle BucketList::best() noexcept {

@@ -27,23 +27,18 @@ class BucketList {
   int gain(Handle h) const noexcept { return gain_[h]; }
   int max_gain_bound() const noexcept { return max_gain_; }
 
-  /// Target part riding along with h's gain (k-way refiners store the best
-  /// move's destination here; 2-way users can ignore it — it defaults to 0).
-  std::uint32_t target(Handle h) const noexcept { return target_[h]; }
-
   void clear();
 
   /// Inserts h with the given gain (LIFO within its bucket).  h must not be
-  /// present; gain must be within the bound.  `target` is the payload
-  /// returned by target(h) — the best move's destination part for k-way
-  /// refiners.
-  void insert(Handle h, int gain, std::uint32_t target = 0);
+  /// present; gain must be within the bound.
+  void insert(Handle h, int gain);
 
   /// Removes h; it must be present.
   void erase(Handle h);
 
-  /// Changes h's gain and target payload (no-op when both are unchanged).
-  void update(Handle h, int new_gain, std::uint32_t target = 0);
+  /// Changes h's gain (no-op when it is unchanged, so h keeps its LIFO
+  /// slot).
+  void update(Handle h, int new_gain);
 
   /// Handle with the maximum gain (most recently inserted first).
   /// Structure must be non-empty.  Non-const on purpose: selection tightens
@@ -85,7 +80,6 @@ class BucketList {
   std::vector<Handle> next_;         // per handle
   std::vector<Handle> prev_;         // per handle
   std::vector<int> gain_;            // per handle
-  std::vector<std::uint32_t> target_;  // per handle: best-move destination
   std::vector<std::uint8_t> in_list_;
   int top_;  // highest possibly non-empty bucket
   std::uint32_t size_ = 0;

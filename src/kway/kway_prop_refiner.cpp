@@ -1,277 +1,28 @@
 #include "kway/kway_prop_refiner.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "datastruct/avl_tree.h"
-#include "datastruct/kway_gain_entry.h"
-#include "kway/kway_state.h"
 #include "runtime/run_context.h"
-#include "telemetry/telemetry.h"
-#include "util/timer.h"
+#include "telemetry/invariant_audit.h"
 
 namespace prop {
 
 template class ProbGainCalculator<KWayState>;
+template class PropRefiner<KWayState>;
 
-namespace {
-
-// Same thresholds as the 2-way pass engine (core/prop_partitioner.cpp):
-// a pass must improve the exact objective by more than kEps to continue,
-// and a recomputed gain within kGainEps of the stored one skips the tree
-// reposition.
-constexpr double kEps = 1e-9;
-constexpr double kGainEps = 1e-12;
-
-using GainTree = AvlTree<KWayGainEntry, KWayGainEntryLess>;
-
-struct MoveRecord {
-  NodeId node;
-  NodeId from;
-};
-
-class PassEngine {
- public:
-  PassEngine(const Hypergraph& g, KWayState& state,
-             const KWayBalanceWindow& window, const KWayPropConfig& config)
-      : g_(g),
-        state_(state),
-        window_(window),
-        config_(config),
-        calc_(state, config.gain_engine),
-        tree_(g.num_nodes()),
-        gains_(g.num_nodes()),
-        stamp_(g.num_nodes(), 0) {
-    moved_.reserve(g.num_nodes());
-    sort_scratch_.reserve(g.num_nodes());
-    top_scratch_.reserve(
-        config.top_update_width > 0
-            ? static_cast<std::size_t>(config.top_update_width)
-            : 0);
-  }
-
-  bool interrupted() const noexcept { return interrupted_; }
-
-  double objective_cost() const noexcept {
-    return config_.objective == KWayObjective::kCut
-               ? state_.cut_cost()
-               : state_.connectivity_cost();
-  }
-
-  /// One speculative pass; returns the accepted exact-objective improvement
-  /// (the best prefix, everything past it rolled back).
-  double run_pass(PassStats* stats) {
-    calc_.reset();
-    bootstrap_probabilities();
-    load_tree();
-
-    moved_.clear();
-    double prefix = 0.0;
-    double best_prefix = 0.0;
-    std::size_t best_count = 0;
-    const RunContext* ctx = config_.context;
-
-    for (;;) {
-      if (ctx && ctx->refine_should_stop()) {
-        interrupted_ = true;
-        break;
-      }
-      NodeId pick = kInvalidNode;
-      NodeId pick_to = 0;
-      tree_.for_each_descending([&](GainTree::Handle h,
-                                    const KWayGainEntry& e) {
-        const NodeId u = h;
-        const NodeId from = state_.part(u);
-        const std::int64_t sz = g_.node_size(u);
-        if (state_.part_size(from) - sz < window_.lo) return true;
-        NodeId to = e.target;
-        if (to == from || state_.part_size(to) + sz > window_.hi) {
-          // The stored best target went infeasible since the entry was
-          // refreshed — fall back to the best feasible one, live.
-          to = best_feasible_target(u, from, sz);
-          if (to == from) return true;  // no feasible destination
-        }
-        pick = u;
-        pick_to = to;
-        return false;
-      });
-      if (pick == kInvalidNode) break;
-
-      const NodeId from = state_.part(pick);
-      const double immediate = objective_gain(pick, pick_to);
-      tree_.erase(pick);
-      if (stats) ++stats->ops.erases;
-      calc_.lock(pick);
-      state_.move(pick, pick_to);
-      calc_.move_locked(pick, from);
-      moved_.push_back({pick, from});
-      prefix += immediate;
-      if (prefix > best_prefix + kEps) {
-        best_prefix = prefix;
-        best_count = moved_.size();
-      }
-      if (stats) ++stats->moves_attempted;
-      refresh_neighbors(pick, stats);
-      refresh_top(stats);
-    }
-
-    // Roll back everything past the best exact-gain prefix, newest first.
-    for (std::size_t i = moved_.size(); i > best_count; --i) {
-      state_.move(moved_[i - 1].node, moved_[i - 1].from);
-    }
-    if (stats) {
-      stats->moves_accepted = best_count;
-      stats->best_prefix_gain = best_prefix;
-    }
-    return best_prefix;
-  }
-
- private:
-  double objective_gain(NodeId u, NodeId to) const {
-    return config_.objective == KWayObjective::kCut
-               ? state_.cut_gain(u, to)
-               : state_.connectivity_gain(u, to);
-  }
-
-  /// Best probabilistic move of u: max gain over the k - 1 targets, lowest
-  /// part id winning ties (deterministic).  Feasibility is NOT checked here
-  /// — the selection walk re-checks it and falls back live.
-  KWayGainEntry best_entry(NodeId u) const {
-    const NodeId from = state_.part(u);
-    KWayGainEntry e{0.0, from};
-    bool first = true;
-    for (NodeId to = 0; to < state_.k(); ++to) {
-      if (to == from) continue;
-      const double gain = calc_.gain(u, to);
-      if (first || gain > e.gain + kGainEps) {
-        e.gain = gain;
-        e.target = to;
-        first = false;
-      }
-    }
-    return e;
-  }
-
-  NodeId best_feasible_target(NodeId u, NodeId from, std::int64_t sz) const {
-    NodeId best = from;
-    double best_gain = 0.0;
-    for (NodeId to = 0; to < state_.k(); ++to) {
-      if (to == from || state_.part_size(to) + sz > window_.hi) continue;
-      const double gain = calc_.gain(u, to);
-      if (best == from || gain > best_gain + kGainEps) {
-        best = to;
-        best_gain = gain;
-      }
-    }
-    return best;
-  }
-
-  void bootstrap_probabilities() {
-    const NodeId nodes = g_.num_nodes();
-    for (NodeId u = 0; u < nodes; ++u) {
-      calc_.set_probability(u, config_.model.pinit);
-    }
-    // Jacobi-style refinement sweeps (Sec. 3.3): gains against the current
-    // probabilities first, then all probabilities rewritten — so the sweep
-    // is order-independent and engine ulps don't feed back mid-sweep.
-    for (int it = 0; it < config_.refine_iterations; ++it) {
-      for (NodeId u = 0; u < nodes; ++u) {
-        gains_[u] = best_entry(u).gain;
-      }
-      for (NodeId u = 0; u < nodes; ++u) {
-        calc_.set_probability(u, config_.model.from_gain(gains_[u]));
-      }
-    }
-  }
-
-  void load_tree() {
-    sort_scratch_.clear();
-    const NodeId nodes = g_.num_nodes();
-    for (NodeId u = 0; u < nodes; ++u) {
-      sort_scratch_.emplace_back(best_entry(u), u);
-    }
-    // Ascending by (gain, node): equal gains keep node order, which fixes
-    // the tree's LIFO tie order deterministically.
-    std::sort(sort_scratch_.begin(), sort_scratch_.end(),
-              [](const std::pair<KWayGainEntry, GainTree::Handle>& a,
-                 const std::pair<KWayGainEntry, GainTree::Handle>& b) {
-                if (a.first.gain != b.first.gain) {
-                  return a.first.gain < b.first.gain;
-                }
-                return a.second < b.second;
-              });
-    tree_.assign_sorted(sort_scratch_.data(),
-                        static_cast<std::uint32_t>(sort_scratch_.size()));
-  }
-
-  /// Re-evaluates every free pin of every net of the mover once (stamp
-  /// de-dup), repositioning its tree entry and rewriting its probability
-  /// when the best gain moved by more than kGainEps.
-  void refresh_neighbors(NodeId mover, PassStats* stats) {
-    ++stamp_value_;
-    for (const NetId n : g_.nets_of(mover)) {
-      for (const NodeId v : g_.pins_of(n)) {
-        if (!calc_.is_free(v) || stamp_[v] == stamp_value_) continue;
-        stamp_[v] = stamp_value_;
-        if (!tree_.contains(v)) continue;
-        const KWayGainEntry e = best_entry(v);
-        const KWayGainEntry& old = tree_.key(v);
-        const bool gain_moved = std::abs(e.gain - old.gain) > kGainEps;
-        if (gain_moved || e.target != old.target) {
-          tree_.update(v, e);
-          if (stats) ++stats->ops.updates;
-        }
-        if (gain_moved) {
-          calc_.set_probability(v, config_.model.from_gain(e.gain));
-        }
-      }
-    }
-  }
-
-  /// Re-verifies the top entries of the tree (Sec. 3.4's bounded update):
-  /// stale maxima would otherwise steer selection with outdated gains.
-  void refresh_top(PassStats* stats) {
-    if (config_.top_update_width <= 0 || tree_.empty()) return;
-    top_scratch_.clear();
-    int budget = config_.top_update_width;
-    tree_.for_each_descending(
-        [&](GainTree::Handle h, const KWayGainEntry&) {
-          top_scratch_.push_back(h);
-          return --budget > 0;
-        });
-    for (const GainTree::Handle h : top_scratch_) {
-      const KWayGainEntry e = best_entry(h);
-      const KWayGainEntry& old = tree_.key(h);
-      if (std::abs(e.gain - old.gain) <= kGainEps && e.target == old.target) {
-        if (stats) ++stats->refresh_skips;
-        continue;
-      }
-      tree_.update(h, e);
-      if (stats) ++stats->ops.updates;
-    }
-  }
-
-  const Hypergraph& g_;
-  KWayState& state_;
-  const KWayBalanceWindow& window_;
-  const KWayPropConfig& config_;
-  ProbGainCalculator<KWayState> calc_;
-  GainTree tree_;
-  std::vector<double> gains_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t stamp_value_ = 0;
-  std::vector<MoveRecord> moved_;
-  std::vector<std::pair<KWayGainEntry, GainTree::Handle>> sort_scratch_;
-  std::vector<GainTree::Handle> top_scratch_;
-
-  bool interrupted_ = false;
-};
-
-}  // namespace
+void PropMoveRules<KWayState>::check_cost(const KWayState& state,
+                                          double tol) const {
+  double cut = 0.0;
+  double connectivity = 0.0;
+  state.verify_costs(&cut, &connectivity);
+  audit::check(std::abs(state.cut_cost() - cut) <= tol,
+               "incremental k-way cut cost != recomputed");
+  audit::check(std::abs(state.connectivity_cost() - connectivity) <= tol,
+               "incremental k-way connectivity cost != recomputed");
+}
 
 KWayPropOutcome kway_prop_refine(const Hypergraph& g,
                                  std::vector<NodeId>& part, NodeId k,
@@ -282,27 +33,18 @@ KWayPropOutcome kway_prop_refine(const Hypergraph& g,
   }
   config.model.validate();
   KWayState state(g, part, k);
-  PassEngine engine(g, state, window, config);
+  PropRefiner<KWayState> refiner(state, {window, config.objective}, config);
 
   KWayPropOutcome out;
-  for (int pass = 0; pass < config.max_passes; ++pass) {
-    const double before = engine.objective_cost();
-    PassStats* stats =
-        config.telemetry ? &config.telemetry->begin_pass(before) : nullptr;
-    WallTimer wall;
-    ThreadCpuTimer cpu;
-    const double gained = engine.run_pass(stats);
-    ++out.passes;
-    if (stats) {
-      stats->cut_after = engine.objective_cost();
-      stats->wall_seconds = wall.seconds();
-      stats->cpu_seconds = cpu.seconds();
-    }
-    if (engine.interrupted()) {
-      out.interrupted = true;
-      break;
-    }
-    if (gained <= kEps) break;
+  out.passes = refiner.refine();
+  out.interrupted = refiner.interrupted();
+  if (refiner.drift_gave_up() && config.context) {
+    // Last link of the k-way drift chain: keep the rolled-back prefix and
+    // stop refining.
+    config.context->degrade(
+        "prop.gain-drift", "stop",
+        std::to_string(PropRefiner<KWayState>::kMaxEmergencyResyncs) +
+            " emergency resyncs did not hold; keeping the best prefix");
   }
   part = state.parts();
   out.cut_cost = state.cut_cost();

@@ -1,48 +1,34 @@
 // Native k-way PROP refinement (paper Sec. 5's k-way direction).
 //
-// The same speculative pass discipline as the 2-way PROP refiner
-// (core/prop_partitioner.h) lifted to k parts: every free node carries a
-// probability of moving, gains are the probabilistic per-(net, part)
-// products of core/prob_gain.h, nodes are held in ONE AVL tree keyed by
-// their best move (KWayGainEntry: gain + target part), and each pass
-// speculatively moves best-feasible nodes — locking movers, refreshing
-// neighbor gains — then rolls back to the prefix with the best exact
-// objective improvement.  The exact-prefix acceptance makes every pass
-// monotone in the configured objective: the refined partition is never
-// worse than the input, so running this after the greedy k-way polish can
-// only improve (or match) it.
+// The 2-way PROP pass lifted to k parts: PropRefiner<KWayState>
+// (core/prop_refiner.h) — the same engine as the 2-way refiner, with one
+// AVL tree per part, k - 1 probabilistic gains per node kept current by
+// per-net deltas, and rollback to the prefix with the best exact objective
+// improvement.  The exact-prefix acceptance makes every pass monotone in
+// the configured objective: the refined partition is never worse than the
+// input, so running this after the greedy k-way polish can only improve
+// (or match) it.
 //
 // Balance is a per-part size window (partition/kway_balance.h), shared
 // with the greedy refiner and recursive bisection so feasibility cannot
-// drift between layers.  Deadline/cancel polling and per-pass telemetry
-// match the 2-way refiner's contract.
+// drift between layers.  Deadline/cancel polling, per-pass telemetry and
+// the drift chain match the 2-way refiner's contract, except that the
+// chain's last link is a plain stop (there is no k-way FM to fall back to).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/prob_gain.h"
-#include "core/probability_model.h"
+#include "core/prop_config.h"
+#include "core/prop_refiner.h"
 #include "kway/kway_refine.h"  // KWayObjective
+#include "kway/kway_state.h"
 #include "partition/kway_balance.h"
 
 namespace prop {
 
-struct RefineTelemetry;
-struct RunContext;
-
-struct KWayPropConfig {
-  ProbabilityModel model;
-  /// Probability-refinement sweeps per pass before moves start (Sec. 3.3).
-  int refine_iterations = 2;
-  GainEngine gain_engine = GainEngine::kCached;
-  /// Top-of-tree entries re-verified after each move (Sec. 3.4).
-  int top_update_width = 5;
-  int max_passes = 64;
+struct KWayPropConfig : PropConfig {
   KWayObjective objective = KWayObjective::kConnectivity;
-
-  RefineTelemetry* telemetry = nullptr;
-  const RunContext* context = nullptr;
 };
 
 struct KWayPropOutcome {
@@ -53,6 +39,32 @@ struct KWayPropOutcome {
   /// best-so-far state (every pass rolls back to its best prefix).
   bool interrupted = false;
 };
+
+/// KWayState's move rules: the per-part size window (source stays >= lo,
+/// destination stays <= hi) and the configured k-way objective.
+template <>
+struct PropMoveRules<KWayState> {
+  KWayBalanceWindow window;
+  KWayObjective objective;
+
+  bool feasible(const KWayState& state, NodeId from, NodeId to,
+                std::int64_t size) const noexcept {
+    return state.part_size(from) - size >= window.lo &&
+           state.part_size(to) + size <= window.hi;
+  }
+  double gain(const KWayState& state, NodeId u, NodeId to) const {
+    return objective == KWayObjective::kCut ? state.cut_gain(u, to)
+                                            : state.connectivity_gain(u, to);
+  }
+  double cost(const KWayState& state) const noexcept {
+    return objective == KWayObjective::kCut ? state.cut_cost()
+                                            : state.connectivity_cost();
+  }
+  void move(KWayState& state, NodeId u, NodeId to) const { state.move(u, to); }
+  void check_cost(const KWayState& state, double tol) const;
+};
+
+extern template class PropRefiner<KWayState>;
 
 /// Refines `part` (part ids in [0, k)) in place toward the configured
 /// objective, keeping every part inside `window`.  Parts already outside

@@ -41,9 +41,11 @@ class Partition {
   }
 
   /// KWayState's names for the same state, so ProbGainCalculator<State>
-  /// reads one API for every k.  k() is a compile-time 2.
+  /// and PropRefiner<State> read one API for every k.  k() is a
+  /// compile-time 2.
   static constexpr NodeId k() noexcept { return 2; }
   NodeId part(NodeId u) const noexcept { return sides_[u]; }
+  std::int64_t part_size(NodeId p) const noexcept { return side_size_[p]; }
   std::uint32_t pins_in(NetId n, NodeId p) const noexcept {
     return pin_count_[2 * n + p];
   }

@@ -218,7 +218,6 @@ TEST(ProbGainProperty, InjectedDriftResyncsKeepPassConsistent) {
     PropConfig config;
     config.gain_engine = engine;
     config.audit_interval = 16;
-    config.max_emergency_resyncs = 2;
     PropPartitioner algo(config);
     FaultInjector injector("prop-drift~0.02", 99);
     DegradationLog log;

@@ -182,7 +182,7 @@ TEST(ProbGain, EmissionMatchesReferenceNetGain) {
   }
 
   for (NetId n = 0; n < g.num_nets(); ++n) {
-    calc.for_each_net_gain(n, [&](NodeId v, double gain) {
+    calc.for_each_net_gain(n, [&](NodeId v, NodeId, double gain) {
       ASSERT_TRUE(calc.is_free(v));
       EXPECT_NEAR(gain, calc.net_gain(v, n), 1e-9)
           << "net " << n << " pin " << v;
@@ -203,7 +203,8 @@ TEST(ProbGain, EmissionSumsToTotalGain) {
   }
   std::vector<double> sum(g.num_nodes(), 0.0);
   for (NetId n = 0; n < g.num_nets(); ++n) {
-    calc.for_each_net_gain(n, [&](NodeId v, double gain) { sum[v] += gain; });
+    calc.for_each_net_gain(
+        n, [&](NodeId v, NodeId, double gain) { sum[v] += gain; });
   }
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(sum[u], calc.gain(u), 1e-9) << "node " << u;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -209,6 +211,67 @@ TEST(AvlTree, PrevFromMaxReachesMin) {
   }
   EXPECT_EQ(steps, 64);
   EXPECT_EQ(last, t.min());
+}
+
+/// Several trees over one handle space: random ops spread over three
+/// trees match one reference map per tree, each handle stays in the tree
+/// it was inserted into across updates, and re-loading one tree with
+/// assign_sorted leaves the others untouched.
+TEST(AvlTree, TreesShareOneHandleSpace) {
+  constexpr Tree::Handle kCap = 240;
+  constexpr std::uint32_t kTrees = 3;
+  Tree t(kCap, kTrees);
+  std::vector<std::map<Tree::Handle, int>> reference(kTrees);
+  Rng rng(2024);
+  for (int op = 0; op < 12000; ++op) {
+    const auto h = static_cast<Tree::Handle>(rng.bounded(kCap));
+    const int key = static_cast<int>(rng.range(-40, 40));
+    if (!t.contains(h)) {
+      const auto tree = static_cast<std::uint32_t>(rng.bounded(kTrees));
+      t.insert(h, key, tree);
+      reference[tree][h] = key;
+    } else if (rng.chance(0.5)) {
+      reference[t.tree_of(h)].erase(h);
+      t.erase(h);
+    } else {
+      const std::uint32_t tree = t.tree_of(h);
+      t.update(h, key);
+      ASSERT_EQ(t.tree_of(h), tree);
+      reference[tree][h] = key;
+    }
+    if (op % 400 != 0) continue;
+    for (std::uint32_t tree = 0; tree < kTrees; ++tree) {
+      ASSERT_TRUE(t.check_invariants(tree)) << "tree " << tree;
+      ASSERT_EQ(t.size(tree), reference[tree].size());
+      if (reference[tree].empty()) continue;
+      int max_key = reference[tree].begin()->second;
+      for (const auto& [rh, rk] : reference[tree]) {
+        max_key = std::max(max_key, rk);
+      }
+      ASSERT_EQ(t.key(t.max(tree)), max_key);
+    }
+  }
+
+  // Re-key tree 1 in bulk.
+  std::vector<std::pair<int, Tree::Handle>> items;
+  for (const auto& [rh, rk] : reference[1]) items.emplace_back(rk + 100, rh);
+  std::sort(items.begin(), items.end());
+  t.assign_sorted(items.data(), static_cast<std::uint32_t>(items.size()), 1);
+  EXPECT_TRUE(t.check_invariants(1));
+  EXPECT_EQ(t.size(1), reference[1].size());
+  for (const std::uint32_t tree : {0u, 2u}) {
+    EXPECT_TRUE(t.check_invariants(tree));
+    EXPECT_EQ(t.size(tree), reference[tree].size());
+    for (const auto& [rh, rk] : reference[tree]) {
+      EXPECT_EQ(t.tree_of(rh), tree);
+      EXPECT_EQ(t.key(rh), rk);
+    }
+  }
+  t.clear();
+  for (std::uint32_t tree = 0; tree < kTrees; ++tree) {
+    EXPECT_TRUE(t.empty(tree));
+  }
+  EXPECT_FALSE(t.contains(items.empty() ? 0 : items.front().second));
 }
 
 TEST(AvlTree, DoubleKeysWork) {

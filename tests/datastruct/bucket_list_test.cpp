@@ -70,32 +70,18 @@ TEST(BucketList, ClearResets) {
   EXPECT_EQ(b.best(), 0u);
 }
 
-TEST(BucketList, TargetPayloadRidesAlong) {
-  // K-way refiners store the best move's destination part with the gain;
-  // 2-way callers omit it and read back 0.
+TEST(BucketList, SameGainUpdateKeepsLifoOrder) {
+  // An update to the unchanged gain is a no-op: the handle keeps its LIFO
+  // slot within the bucket instead of becoming the newest entry.
   BucketList b(8, 5);
-  b.insert(0, 2, 3);
-  b.insert(1, 2);
-  EXPECT_EQ(b.target(0), 3u);
-  EXPECT_EQ(b.target(1), 0u);
-  b.update(0, 4, 7);
-  EXPECT_EQ(b.gain(0), 4);
-  EXPECT_EQ(b.target(0), 7u);
-}
-
-TEST(BucketList, SameGainNewTargetKeepsLifoOrder) {
-  // Payload-only update: the gain is unchanged, so the handle must keep its
-  // LIFO slot within the bucket — only target() changes.
-  BucketList b(8, 5);
-  b.insert(0, 1, 2);
-  b.insert(1, 1, 2);
+  b.insert(0, 1);
+  b.insert(1, 1);
   EXPECT_EQ(b.best(), 1u);
-  b.update(0, 1, 6);
-  EXPECT_EQ(b.target(0), 6u);
+  b.update(0, 1);
   EXPECT_EQ(b.best(), 1u);  // 1 is still the newest in the gain-1 bucket
   b.erase(1);
   EXPECT_EQ(b.best(), 0u);
-  EXPECT_EQ(b.target(0), 6u);
+  EXPECT_EQ(b.gain(0), 1);
 }
 
 /// Property: random ops match a reference map; best() always returns a

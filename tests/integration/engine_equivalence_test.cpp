@@ -8,7 +8,8 @@
 // cache and cross-checking it at every query.  Shadow == scratch on final
 // sides and cut, with no cross-check throw, is therefore the statement
 // "the cache stays within its audit tolerance through entire real runs on
-// the reproduction circuits".  The cached *fast path* is compared on
+// the reproduction circuits" — at k = 2 and, through the same pass engine,
+// at k = 4.  The cached *fast path* is compared on
 // solution quality (its ulp-level differences feed back through the
 // probability model chaotically, so per-run equality is not a meaningful
 // contract — see DESIGN.md), and its PR 3 determinism contract (identical
@@ -20,8 +21,11 @@
 
 #include "core/prop_partitioner.h"
 #include "hypergraph/mcnc_suite.h"
+#include "kway/kway_prop_refiner.h"
+#include "partition/kway_balance.h"
 #include "partition/runner.h"
 #include "partition/validate.h"
+#include "util/rng.h"
 
 namespace prop {
 namespace {
@@ -55,6 +59,26 @@ TEST(EngineEquivalence, ShadowReproducesScratchRunsExactly) {
             << name << " seed " << seed << (fifty ? " 50-50" : " 45-55");
         EXPECT_EQ(a.passes, b.passes) << name << " seed " << seed;
       }
+    }
+    // k = 4: the same engine on KWayState, from a random start.
+    const NodeId k = 4;
+    const KWayBalanceWindow window = kway_part_window(
+        g.total_node_size(), k, 0.1, kway_max_node_size(g));
+    for (const std::uint64_t seed : {3ULL, 19ULL}) {
+      Rng rng(seed);
+      std::vector<NodeId> start(g.num_nodes());
+      for (auto& p : start) p = static_cast<NodeId>(rng.bounded(k));
+      std::vector<NodeId> a = start;
+      std::vector<NodeId> b = start;
+      KWayPropConfig config;
+      config.gain_engine = GainEngine::kScratch;
+      const KWayPropOutcome oa = kway_prop_refine(g, a, k, window, config);
+      config.gain_engine = GainEngine::kShadow;
+      const KWayPropOutcome ob = kway_prop_refine(g, b, k, window, config);
+      EXPECT_EQ(oa.connectivity_cost, ob.connectivity_cost)
+          << name << " k=4 seed " << seed;
+      EXPECT_EQ(a, b) << name << " k=4 seed " << seed;
+      EXPECT_EQ(oa.passes, ob.passes) << name << " k=4 seed " << seed;
     }
   }
 }

@@ -126,11 +126,9 @@ TEST(RuntimeRobustness, InjectedCgStallStillYieldsValidParaboli) {
 TEST(RuntimeRobustness, PropDriftBlowupFallsBackToFm) {
   const Hypergraph g = testing::small_random_circuit(35);
   const BalanceConstraint balance = BalanceConstraint::forty_five(g);
-  PropConfig config;
-  config.max_emergency_resyncs = 2;
-  PropPartitioner prop_algo(config);
-  // Every PROP move reports a drift blowup: two emergency resyncs, then the
-  // deterministic-FM fallback.
+  PropPartitioner prop_algo;
+  // Every PROP move reports a drift blowup: three emergency resyncs
+  // (PropRefiner::kMaxEmergencyResyncs), then the deterministic-FM fallback.
   Harness h("prop-drift");
   const RunOutcome outcome = run_checked(prop_algo, g, balance, 13, &h.context);
   ASSERT_TRUE(outcome.has_result());

@@ -11,6 +11,7 @@
 #include "kway/kway_refine.h"
 #include "kway/kway_state.h"
 #include "partition/kway_balance.h"
+#include "runtime/fault_injection.h"
 #include "runtime/run_context.h"
 #include "telemetry/telemetry.h"
 #include "testutil.h"
@@ -150,6 +151,40 @@ TEST(KWayPropRefiner, CancelledContextStopsWithValidPartition) {
   EXPECT_LE(objective_cost(g, part, k, KWayObjective::kConnectivity),
             before + 1e-9);
   for (const NodeId p : part) EXPECT_LT(p, k);
+}
+
+TEST(KWayPropRefiner, DriftChainStopsAtBestPrefix) {
+  // Every move reports a drift blowup: kMaxEmergencyResyncs emergency
+  // resyncs, then the k-way chain's last link keeps the rolled-back prefix
+  // and stops (there is no k-way FM to fall back to).
+  const Hypergraph g = testing::small_random_circuit(1229);
+  const NodeId k = 4;
+  const KWayBalanceWindow window =
+      kway_part_window(g.total_node_size(), k, 0.1, kway_max_node_size(g));
+  std::vector<NodeId> part = random_parts(g, k, 1229);
+  const double before =
+      objective_cost(g, part, k, KWayObjective::kConnectivity);
+
+  FaultInjector injector("prop-drift", 1);
+  DegradationLog log;
+  RunContext ctx;
+  ctx.injector = &injector;
+  ctx.degradations = &log;
+  KWayPropConfig config;
+  config.context = &ctx;
+  const KWayPropOutcome out = kway_prop_refine(g, part, k, window, config);
+  EXPECT_FALSE(out.interrupted);
+  EXPECT_EQ(out.passes, 1);
+  ASSERT_EQ(log.events().size(),
+            std::size_t{PropRefiner<KWayState>::kMaxEmergencyResyncs} + 1);
+  for (const DegradationEvent& e : log.events()) {
+    EXPECT_EQ(e.site, "prop.gain-drift");
+  }
+  EXPECT_EQ(log.events().back().action, "stop");
+  EXPECT_LE(objective_cost(g, part, k, KWayObjective::kConnectivity),
+            before + 1e-9);
+  EXPECT_DOUBLE_EQ(out.connectivity_cost,
+                   objective_cost(g, part, k, KWayObjective::kConnectivity));
 }
 
 TEST(KWayPropRefiner, RecordsPerPassTelemetry) {

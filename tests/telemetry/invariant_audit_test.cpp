@@ -12,8 +12,10 @@
 #include "fm/fm_partitioner.h"
 #include "hypergraph/builder.h"
 #include "hypergraph/generator.h"
+#include "kway/kway_prop_refiner.h"
 #include "la/la_gains.h"
 #include "la/la_partitioner.h"
+#include "partition/kway_balance.h"
 #include "partition/runner.h"
 #include "testutil.h"
 
@@ -107,6 +109,22 @@ TEST(InvariantAudit, PropStructuralInvariantsHoldOnSuite) {
     ASSERT_FALSE(r.telemetry.empty());
     EXPECT_GT(r.telemetry[0].refine.total_audits(), 0u);
     EXPECT_GE(r.max_gain_drift(), 0.0);
+  }
+  // k = 4: the same pass engine on KWayState, audited every 8 moves
+  // (per-part tree membership, per-target gain slots, both k-way costs).
+  const NodeId k = 4;
+  for (const Hypergraph& g : audit_suite()) {
+    const KWayBalanceWindow window = kway_part_window(
+        g.total_node_size(), k, 0.1, kway_max_node_size(g));
+    Rng rng(79);
+    std::vector<NodeId> part(g.num_nodes());
+    for (auto& p : part) p = static_cast<NodeId>(rng.bounded(k));
+    RefineTelemetry telemetry;
+    KWayPropConfig kconfig;
+    kconfig.audit_interval = 8;
+    kconfig.telemetry = &telemetry;
+    ASSERT_NO_THROW(kway_prop_refine(g, part, k, window, kconfig)) << g.name();
+    EXPECT_GT(telemetry.total_audits(), 0u) << g.name();
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "core/prop_partitioner.h"
 #include "fm/fm_partitioner.h"
+#include "hypergraph/mcnc_suite.h"
 #include "la/la_partitioner.h"
 #include "partition/initial.h"
 #include "partition/runner.h"
@@ -176,6 +177,32 @@ TEST(RunMany, ConstructiveMethodsRecordNoTelemetry) {
   options.collect_telemetry = true;
   const MultiRunResult r = run_many(eig1, g, balance, 2, 9, options);
   EXPECT_TRUE(r.telemetry.empty());
+}
+
+TEST(RunMany, PerPassCpuIsThreadScopedUnderThreads) {
+  // Concurrent runs must not charge a pass with its siblings' CPU: each
+  // pass's cpu_seconds is the calling thread's, so it never exceeds the
+  // pass's own wall time (plus clock granularity).
+  const Hypergraph g = make_mcnc_circuit("struct");
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  FmPartitioner fm;
+  LaPartitioner la;
+  PropPartitioner prop_algo;
+  RunnerOptions options;
+  options.collect_telemetry = true;
+  options.threads = 4;
+  for (Bipartitioner* algo : {static_cast<Bipartitioner*>(&fm),
+                              static_cast<Bipartitioner*>(&la),
+                              static_cast<Bipartitioner*>(&prop_algo)}) {
+    const MultiRunResult r = run_many(*algo, g, balance, 8, 3, options);
+    ASSERT_EQ(r.telemetry.size(), 8u) << algo->name();
+    for (const RunTelemetry& run : r.telemetry) {
+      for (const PassStats& pass : run.refine.passes) {
+        EXPECT_LE(pass.cpu_seconds, pass.wall_seconds + 1e-3)
+            << algo->name() << " seed " << run.seed << " pass " << pass.pass;
+      }
+    }
+  }
 }
 
 TEST(RunMany, StatsJsonDumpIsWellFormed) {
