@@ -84,6 +84,10 @@ echo "== k-way smoke (asan+ubsan) =="
   > /dev/null
 ./build-asan/tools/prop_cli --circuit p1 --k 8 --multilevel --runs 1 \
   > /dev/null
+# Budget-stopped k-way V-cycle: the shared level step's stop path (project,
+# legalize, skip PROP) at every level.
+./build-asan/tools/prop_cli --circuit p1 --k 8 --multilevel --runs 2 \
+  --time-budget-ms 1 --on-timeout=best > /dev/null
 # Shadow engine at k = 3: the KWayState instantiation of the gain
 # calculator cross-checks its cache against scratch on every query.
 ./build-asan/tools/prop_cli --circuit p1 --algo prop --k 3 \

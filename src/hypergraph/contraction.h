@@ -38,13 +38,17 @@ ContractionResult contract(const Hypergraph& g,
                            const std::vector<NodeId>& cluster_of,
                            NodeId num_clusters);
 
-/// Projects a partition of the coarse graph back to the fine graph.
-std::vector<int> project_partition(const std::vector<NodeId>& fine_to_coarse,
-                                   const std::vector<int>& coarse_side);
-
-/// Same projection for the 0/1 byte sides Partition uses.
-std::vector<std::uint8_t> project_partition(
-    const std::vector<NodeId>& fine_to_coarse,
-    const std::vector<std::uint8_t>& coarse_side);
+/// Projects a partition of the coarse graph back to the fine graph: each
+/// fine node takes its cluster's entry.  `Part` is whatever the caller's
+/// partition stores per node (0/1 byte sides, part ids, ...).
+template <typename Part>
+std::vector<Part> project_partition(const std::vector<NodeId>& fine_to_coarse,
+                                    const std::vector<Part>& coarse_side) {
+  std::vector<Part> fine_side(fine_to_coarse.size());
+  for (std::size_t u = 0; u < fine_to_coarse.size(); ++u) {
+    fine_side[u] = coarse_side[fine_to_coarse[u]];
+  }
+  return fine_side;
+}
 
 }  // namespace prop

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "kway/kway_state.h"
+#include "runtime/run_context.h"
 
 namespace prop {
 
@@ -29,47 +30,66 @@ KWayPipelineResult kway_partition(Bipartitioner& bisector, const Hypergraph& g,
   KWayOptions rb_options;
   rb_options.tolerance = config.tolerance;
   KWayResult rb = recursive_bisection(bisector, g, config.k, seed, rb_options);
+  return kway_level_step(g, std::move(rb.part), seed, config, telemetry,
+                         context);
+}
 
+KWayPipelineResult kway_level_step(const Hypergraph& g,
+                                   std::vector<NodeId> part,
+                                   std::uint64_t seed,
+                                   const KWayPipelineConfig& config,
+                                   RefineTelemetry* telemetry,
+                                   const RunContext* context) {
   KWayPipelineResult out;
   out.k = config.k;
-  out.part = std::move(rb.part);
+  out.part = std::move(part);
 
-  if (config.refiner != KWayRefinerKind::kNone && config.k >= 2) {
-    // Greedy stage: polishes AND legalizes the window (recursive bisection
-    // compounds per-split tolerance, so parts can start outside it).
-    KWayRefineConfig greedy;
-    greedy.objective = config.objective;
-    greedy.tolerance = config.tolerance;
-    greedy.max_passes = config.greedy_max_passes;
-    const KWayRefineOutcome gr =
-        kway_refine(g, out.part, config.k, seed, greedy);
-    out.passes += gr.passes;
-
-    if (config.refiner == KWayRefinerKind::kProp) {
-      KWayPropConfig prop = config.prop;
-      prop.objective = config.objective;
-      prop.telemetry = telemetry;
-      prop.context = context;
-      const KWayBalanceWindow window = kway_part_window(
-          g.total_node_size(), config.k, config.tolerance,
-          kway_max_node_size(g));
-      const KWayPropOutcome pr =
-          kway_prop_refine(g, out.part, config.k, window, prop);
-      out.passes += pr.passes;
-      out.interrupted = pr.interrupted;
-      out.cut_cost = pr.cut_cost;
-      out.connectivity_cost = pr.connectivity_cost;
-      return out;
-    }
-    out.cut_cost = gr.cut_cost;
-    out.connectivity_cost = gr.connectivity_cost;
+  if (config.refiner == KWayRefinerKind::kNone || config.k < 2) {
+    // No refinement: recompute both objectives once for the result record.
+    const KWayState state(g, out.part, config.k);
+    out.cut_cost = state.cut_cost();
+    out.connectivity_cost = state.connectivity_cost();
     return out;
   }
 
-  // RB-only: recompute both objectives once for the result record.
-  const KWayState state(g, out.part, config.k);
-  out.cut_cost = state.cut_cost();
-  out.connectivity_cost = state.connectivity_cost();
+  // Greedy stage: polishes AND legalizes the window (recursive bisection
+  // compounds per-split tolerance, and a projected coarse partition only
+  // fits its coarse level's window, so parts can start outside it).
+  KWayRefineConfig greedy;
+  greedy.objective = config.objective;
+  greedy.tolerance = config.tolerance;
+  greedy.max_passes = config.greedy_max_passes;
+  const KWayRefineOutcome gr = kway_refine(g, out.part, config.k, seed, greedy);
+  out.passes = gr.passes;
+  out.cut_cost = gr.cut_cost;
+  out.connectivity_cost = gr.connectivity_cost;
+  if (config.refiner != KWayRefinerKind::kProp) return out;
+  if (context && context->should_stop()) {
+    out.interrupted = true;
+    return out;
+  }
+
+  KWayPropConfig prop = config.prop;
+  prop.objective = config.objective;
+  prop.telemetry = telemetry;
+  prop.context = context;
+  const KWayBalanceWindow window = kway_part_window(
+      g.total_node_size(), config.k, config.tolerance, kway_max_node_size(g));
+  const KWayPropOutcome pr =
+      kway_prop_refine(g, out.part, config.k, window, prop);
+  out.passes += pr.passes;
+  out.interrupted = pr.interrupted;
+  out.cut_cost = pr.cut_cost;
+  out.connectivity_cost = pr.connectivity_cost;
+  return out;
+}
+
+PartitionResult kway_partition_result(const KWayPipelineResult& r,
+                                      KWayObjective objective) {
+  PartitionResult out;
+  out.side.assign(r.part.begin(), r.part.end());
+  out.cut_cost = r.cost(objective);
+  out.passes = r.passes;
   return out;
 }
 
@@ -104,18 +124,9 @@ PartitionResult KWayPartitioner::run(const Hypergraph& g,
   if (config_.k > g.num_nodes()) {
     throw std::invalid_argument("kway partitioner: k exceeds node count");
   }
-  const KWayPipelineResult r =
-      kway_partition(*bisector_, g, seed, config_, telemetry_, context_);
-  PartitionResult out;
-  out.side.resize(r.part.size());
-  for (std::size_t i = 0; i < r.part.size(); ++i) {
-    out.side[i] = static_cast<std::uint8_t>(r.part[i]);
-  }
-  out.cut_cost = config_.objective == KWayObjective::kCut
-                     ? r.cut_cost
-                     : r.connectivity_cost;
-  out.passes = r.passes;
-  return out;
+  return kway_partition_result(
+      kway_partition(*bisector_, g, seed, config_, telemetry_, context_),
+      config_.objective);
 }
 
 std::unique_ptr<Bipartitioner> KWayPartitioner::clone() const {

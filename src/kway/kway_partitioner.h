@@ -47,7 +47,7 @@ struct KWayPipelineConfig {
   /// fields above at run time.
   KWayPropConfig prop;
   /// Greedy-stage pass cap (its tolerance/objective are synced too).
-  int greedy_max_passes = 16;
+  static constexpr int greedy_max_passes = 16;
 };
 
 struct KWayPipelineResult {
@@ -57,15 +57,38 @@ struct KWayPipelineResult {
   double connectivity_cost = 0.0;
   int passes = 0;  ///< refinement passes (greedy + PROP)
   bool interrupted = false;
+
+  double cost(KWayObjective objective) const noexcept {
+    return objective == KWayObjective::kCut ? cut_cost : connectivity_cost;
+  }
 };
 
-/// Runs the configured pipeline.  `context`/`telemetry` reach the PROP
-/// stage (the bisector's own hooks are whatever the caller attached to it).
+/// Runs the configured pipeline: recursive bisection, then
+/// kway_level_step.  `context`/`telemetry` reach the PROP stage (the
+/// bisector's own hooks are whatever the caller attached to it).
 KWayPipelineResult kway_partition(Bipartitioner& bisector, const Hypergraph& g,
                                   std::uint64_t seed,
                                   const KWayPipelineConfig& config,
                                   RefineTelemetry* telemetry = nullptr,
                                   const RunContext* context = nullptr);
+
+/// The refinement after a k-way partition is built or projected: the greedy
+/// stage (kway_refine, seeded by `seed`) legalizes the window and polishes,
+/// then k-way PROP runs unless `context` has already stopped.  The greedy
+/// stage runs even after a stop, so every result fits the window whenever
+/// the window is reachable.  With refiner kNone, only the costs are
+/// computed.  Shared by kway_partition and every multilevel k-way level.
+KWayPipelineResult kway_level_step(const Hypergraph& g,
+                                   std::vector<NodeId> part,
+                                   std::uint64_t seed,
+                                   const KWayPipelineConfig& config,
+                                   RefineTelemetry* telemetry,
+                                   const RunContext* context);
+
+/// The k-way PartitionResult every k-way adapter returns: part ids in
+/// `side` and the configured objective in `cut_cost`.
+PartitionResult kway_partition_result(const KWayPipelineResult& r,
+                                      KWayObjective objective);
 
 /// The k-way PartitionResult contract shared by every k-way adapter: part
 /// ids < k and the claimed cost equal (1e-6 relative) to a from-scratch

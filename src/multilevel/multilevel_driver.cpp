@@ -1,26 +1,15 @@
 #include "multilevel/multilevel_driver.h"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
 #include <utility>
 
 #include "core/prop_partitioner.h"
-#include "hypergraph/contraction.h"
 #include "partition/initial.h"
 #include "partition/partition.h"
 
 namespace prop {
 namespace {
-
-/// One level of the hierarchy: the coarse graph and the projection map
-/// from the next finer level onto it.  Levels live in a deque so earlier
-/// graphs stay put while later ones append (the driver holds pointers
-/// across the coarsening loop).
-struct Level {
-  Hypergraph graph;
-  std::vector<NodeId> fine_to_coarse;
-};
 
 /// Maps the caller's (r1, r2) balance fractions onto a coarse graph.  The
 /// fraction constructor re-widens by the coarse max node size, so the
@@ -111,20 +100,16 @@ std::vector<NodeId> attraction_clusters(const Hypergraph& g, Rng& rng,
   return cluster_of;
 }
 
-MultilevelResult multilevel_partition(const Hypergraph& g,
-                                      const BalanceConstraint& balance,
-                                      std::uint64_t seed,
-                                      const MultilevelConfig& config) {
-  const RunContext* ctx = config.context;
-  MultilevelResult out;
-
-  // Phase 1: coarsen until small, stalled, or out of levels.
-  std::deque<Level> levels;
+std::deque<CoarseLevel> coarsen(const Hypergraph& g, std::uint64_t seed,
+                                const CoarseningConfig& config, NodeId k,
+                                const RunContext* context) {
+  const NodeId floor_nodes = std::max(config.coarsest_max_nodes, k);
+  std::deque<CoarseLevel> levels;
   const Hypergraph* current = &g;
-  for (int level = 0; level < config.max_levels &&
-                      current->num_nodes() > config.coarsest_max_nodes;
+  for (int level = 0;
+       level < config.max_levels && current->num_nodes() > floor_nodes;
        ++level) {
-    if (ctx && ctx->should_stop()) break;
+    if (context && context->should_stop()) break;
     Rng rng(mix_seed(seed, 0xC0A45EULL, static_cast<std::uint64_t>(level)));
     const std::int64_t max_weight = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(
@@ -134,22 +119,39 @@ MultilevelResult multilevel_partition(const Hypergraph& g,
     const std::vector<NodeId> cluster_of =
         attraction_clusters(*current, rng, max_weight,
                             config.rating_max_net_size, num_clusters);
-    if (static_cast<double>(num_clusters) >
-        config.min_reduction * static_cast<double>(current->num_nodes())) {
-      break;  // stalled: contracting further would barely shrink the graph
+    if (num_clusters < k ||
+        static_cast<double>(num_clusters) >
+            config.min_reduction * static_cast<double>(current->num_nodes())) {
+      break;  // stalled, or contracting further would drop below k nodes
     }
     ContractionResult contracted = contract(*current, cluster_of, num_clusters);
-    levels.push_back(
-        Level{std::move(contracted.coarse), std::move(contracted.fine_to_coarse)});
+    levels.push_back(CoarseLevel{std::move(contracted.coarse),
+                                 std::move(contracted.fine_to_coarse)});
     current = &levels.back().graph;
   }
+  return levels;
+}
+
+MultilevelResult multilevel_partition(const Hypergraph& g,
+                                      const BalanceConstraint& balance,
+                                      std::uint64_t seed,
+                                      const MultilevelConfig& config) {
+  const RunContext* ctx = config.context;
+  MultilevelResult out;
+
+  // Phase 1: coarsen until small, stalled, or out of levels.
+  const std::deque<CoarseLevel> levels = coarsen(g, seed, config, 2, ctx);
+  const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
   out.levels = static_cast<int>(levels.size());
-  out.coarsest_nodes = current->num_nodes();
+  out.coarsest_nodes = coarsest.num_nodes();
+
+  // The caller's balance on the flat graph, its fractions on coarse ones.
+  const auto balance_of = [&](const Hypergraph& lg) {
+    return &lg == &g ? balance : level_balance(lg, balance);
+  };
 
   // Phase 2: multi-start FM initial partition on the coarsest graph.
-  const Hypergraph& coarsest = *current;
-  const BalanceConstraint coarsest_balance =
-      levels.empty() ? balance : level_balance(coarsest, balance);
+  const BalanceConstraint coarsest_balance = balance_of(coarsest);
   std::vector<std::uint8_t> sides;
   double best_cut = 0.0;
   int total_passes = 0;
@@ -171,11 +173,12 @@ MultilevelResult multilevel_partition(const Hypergraph& g,
     }
   }
 
-  // Phase 3: uncoarsen — refine at every level, then project one level
-  // down.  After a stop the remaining levels are still projected and
-  // legalized (never refined), so the flat result is always valid.
-  const auto refine_level = [&](const Hypergraph& lg,
-                                const BalanceConstraint& lb) {
+  // Phase 3: refine the coarsest level, then project one level down and
+  // refine again until the flat graph.  After a stop the remaining levels
+  // are still projected and legalized (never refined), so the flat result
+  // is always valid.
+  const auto refine_level = [&](const Hypergraph& lg) {
+    const BalanceConstraint lb = balance_of(lg);
     Partition part(lg, sides);
     repair_balance(part, lb);
     if (!(ctx && ctx->should_stop())) {
@@ -192,13 +195,10 @@ MultilevelResult multilevel_partition(const Hypergraph& g,
     return part.cut_cost();
   };
 
-  double cut = 0.0;
-  for (std::size_t i = levels.size(); i-- > 0;) {
-    const Hypergraph& lg = levels[i].graph;
-    cut = refine_level(lg, level_balance(lg, balance));
-    sides = project_partition(levels[i].fine_to_coarse, sides);
-  }
-  cut = refine_level(g, balance);
+  double cut = refine_level(coarsest);
+  uncoarsen(g, levels, sides, [&](const Hypergraph& lg, std::size_t) {
+    cut = refine_level(lg);
+  });
 
   out.part.side = std::move(sides);
   out.part.cut_cost = cut;

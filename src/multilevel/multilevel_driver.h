@@ -12,9 +12,11 @@
 // exactly through every contraction level (see contraction.h), so the cut
 // measured at any level is the flat cut of its projection.
 //
-// Level hierarchy: repeated attraction_clusters() + contract() until the
-// graph has at most coarsest_max_nodes nodes, coarsening stalls
-// (min_reduction), or max_levels is hit.  Refinement: PROP by default, FM
+// Level hierarchy: coarsen() — repeated attraction_clusters() + contract()
+// until the graph has at most coarsest_max_nodes nodes, coarsening stalls
+// (min_reduction), or max_levels is hit.  The k-way V-cycle
+// (multilevel_kway.h) builds its hierarchy with the same coarsen() and walks
+// it back down with the same uncoarsen().  Refinement: PROP by default, FM
 // as the ablation (MultilevelConfig::refiner).  The cached-product gain
 // engine is rebuilt per level from the coarse hypergraph — see DESIGN.md
 // Sec. 4g for why the remap-through-contraction fast path is deferred.
@@ -27,11 +29,13 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "core/prop_config.h"
 #include "fm/fm_partitioner.h"
+#include "hypergraph/contraction.h"
 #include "partition/partitioner.h"
 #include "util/rng.h"
 
@@ -39,25 +43,30 @@ namespace prop {
 
 enum class MlRefiner { kProp, kFm };
 
-struct MultilevelConfig {
+/// Coarsening settings shared by the 2-way and k-way V-cycles.  Only the
+/// target size is settable; the rest are fixed constants.
+struct CoarseningConfig {
   /// Coarsening stops once the level has at most this many nodes.
   NodeId coarsest_max_nodes = 200;
   /// Hard cap on contraction levels (safety; attraction coarsening roughly
   /// halves the graph per level, so ~log2(n) levels in practice).
-  int max_levels = 64;
+  static constexpr int max_levels = 64;
   /// Coarsening stalls when one level keeps more than this fraction of its
   /// input nodes; the V-cycle then starts from whatever it has.
-  double min_reduction = 0.95;
+  static constexpr double min_reduction = 0.95;
   /// Cluster weight cap as a fraction of total node size.  Keeps coarse
   /// nodes light enough that every fraction-mapped balance window stays
   /// reachable (BalanceConstraint::fraction widens by the max node size).
-  double max_cluster_fraction = 1.0 / 32.0;
+  static constexpr double max_cluster_fraction = 1.0 / 32.0;
   /// Nets larger than this are ignored by the attraction rating: a k-pin
   /// net contributes c/(k-1) per pin, so huge nets carry almost no signal
   /// but dominate the rating sweep's cost.
-  std::size_t rating_max_net_size = 64;
+  static constexpr std::size_t rating_max_net_size = 64;
+};
+
+struct MultilevelConfig : CoarseningConfig {
   /// Multi-start FM runs for the initial partition of the coarsest graph.
-  int initial_runs = 10;
+  static constexpr int initial_runs = 10;
   /// Refiner applied at every uncoarsening level (PROP, or FM as the
   /// ablation baseline).
   MlRefiner refiner = MlRefiner::kProp;
@@ -89,6 +98,36 @@ std::vector<NodeId> attraction_clusters(const Hypergraph& g, Rng& rng,
                                         std::int64_t max_cluster_weight,
                                         std::size_t rating_max_net_size,
                                         NodeId& num_clusters);
+
+/// One level of the hierarchy: the coarse graph and the projection map
+/// from the next finer level onto it.
+struct CoarseLevel {
+  Hypergraph graph;
+  std::vector<NodeId> fine_to_coarse;
+};
+
+/// Builds the level hierarchy of `g`, finest first: one attraction_clusters()
+/// + contract() step per level on the seeded stream
+/// mix_seed(seed, 0xC0A45E, level).  Stops once a level has at most
+/// max(coarsest_max_nodes, k) nodes, when a clustering would leave fewer
+/// than k nodes or keep more than min_reduction of them, at max_levels, or
+/// when `context` stops.  Levels live in a deque so every graph stays put
+/// while later ones append.
+std::deque<CoarseLevel> coarsen(const Hypergraph& g, std::uint64_t seed,
+                                const CoarseningConfig& config, NodeId k,
+                                const RunContext* context);
+
+/// Walks the hierarchy back down, coarsest first: projects `part` one level
+/// finer, then calls `step(finer_graph, i)`, where `i` is the level index
+/// and the graph below levels[0] is the flat `g`.
+template <typename Part, typename Step>
+void uncoarsen(const Hypergraph& g, const std::deque<CoarseLevel>& levels,
+               std::vector<Part>& part, Step&& step) {
+  for (std::size_t i = levels.size(); i-- > 0;) {
+    part = project_partition(levels[i].fine_to_coarse, part);
+    step(i == 0 ? g : levels[i - 1].graph, i);
+  }
+}
 
 /// Runs the full V-cycle on `g`.  The finest level is refined under
 /// `balance` exactly; coarse levels use the same (r1, r2) fractions mapped

@@ -1,103 +1,33 @@
 #include "multilevel/multilevel_kway.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
-#include "hypergraph/contraction.h"
 #include "kway/kway_state.h"
 #include "util/rng.h"
 
 namespace prop {
-namespace {
-
-struct Level {
-  Hypergraph graph;
-  std::vector<NodeId> fine_to_coarse;
-};
-
-/// Greedy legalize/polish + (optionally) PROP at one level.  Returns the
-/// passes executed.
-int refine_level(const Hypergraph& lg, std::vector<NodeId>& part,
-                 const MultilevelKWayConfig& config, std::uint64_t seed,
-                 RefineTelemetry* telemetry, bool* interrupted) {
-  int passes = 0;
-  if (config.refiner == KWayRefinerKind::kNone) return passes;
-  KWayRefineConfig greedy;
-  greedy.objective = config.objective;
-  greedy.tolerance = config.tolerance;
-  greedy.max_passes = config.greedy_max_passes;
-  const KWayRefineOutcome gr = kway_refine(lg, part, config.k, seed, greedy);
-  passes += gr.passes;
-  if (config.refiner == KWayRefinerKind::kProp) {
-    KWayPropConfig prop = config.prop;
-    prop.objective = config.objective;
-    prop.telemetry = telemetry;
-    prop.context = config.context;
-    const KWayBalanceWindow window =
-        kway_part_window(lg.total_node_size(), config.k, config.tolerance,
-                         kway_max_node_size(lg));
-    const KWayPropOutcome pr =
-        kway_prop_refine(lg, part, config.k, window, prop);
-    passes += pr.passes;
-    if (pr.interrupted) *interrupted = true;
-  }
-  return passes;
-}
-
-}  // namespace
 
 MultilevelKWayResult multilevel_kway_partition(
     const Hypergraph& g, std::uint64_t seed,
     const MultilevelKWayConfig& config, RefineTelemetry* telemetry) {
-  if (config.k < 1) {
-    throw std::invalid_argument("multilevel kway: k must be >= 1");
+  // Part ids travel as uint8_t in PartitionResult::side, hence 256.
+  if (config.k < 2 || config.k > 256 || config.k > g.num_nodes()) {
+    throw std::invalid_argument(
+        "multilevel kway: k must be in [2, 256] and at most the node count");
   }
   const RunContext* ctx = config.context;
   MultilevelKWayResult out;
 
-  // Phase 1: coarsen until small, stalled, or out of levels — the same
-  // loop (and seeds) as the 2-way driver.  Never coarsen below k nodes.
-  const NodeId floor_nodes = std::max(config.coarsest_max_nodes, config.k);
-  std::deque<Level> levels;
-  const Hypergraph* current = &g;
-  for (int level = 0;
-       level < config.max_levels && current->num_nodes() > floor_nodes;
-       ++level) {
-    if (ctx && ctx->should_stop()) break;
-    Rng rng(mix_seed(seed, 0xC0A45EULL, static_cast<std::uint64_t>(level)));
-    const std::int64_t max_weight = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(
-               static_cast<double>(current->total_node_size()) *
-               config.max_cluster_fraction));
-    NodeId num_clusters = 0;
-    const std::vector<NodeId> cluster_of =
-        attraction_clusters(*current, rng, max_weight,
-                            config.rating_max_net_size, num_clusters);
-    if (num_clusters < config.k ||
-        static_cast<double>(num_clusters) >
-            config.min_reduction * static_cast<double>(current->num_nodes())) {
-      break;  // stalled, or contracting further would drop below k nodes
-    }
-    ContractionResult contracted =
-        contract(*current, cluster_of, num_clusters);
-    levels.push_back(Level{std::move(contracted.coarse),
-                           std::move(contracted.fine_to_coarse)});
-    current = &levels.back().graph;
-  }
+  // Phase 1: the 2-way driver's coarsening, never below k nodes.
+  const std::deque<CoarseLevel> levels =
+      coarsen(g, seed, config, config.k, ctx);
+  const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
   out.levels = static_cast<int>(levels.size());
-  out.coarsest_nodes = current->num_nodes();
+  out.coarsest_nodes = coarsest.num_nodes();
 
   // Phase 2: multi-start k-way pipeline on the coarsest graph.
-  const Hypergraph& coarsest = *current;
-  KWayPipelineConfig pipeline;
-  pipeline.k = config.k;
-  pipeline.tolerance = config.tolerance;
-  pipeline.objective = config.objective;
-  pipeline.refiner = config.refiner;
-  pipeline.prop = config.prop;
-  pipeline.greedy_max_passes = config.greedy_max_passes;
   std::vector<NodeId> part;
   double best_cost = 0.0;
   for (int run = 0; run < std::max(1, config.initial_runs); ++run) {
@@ -105,11 +35,9 @@ MultilevelKWayResult multilevel_kway_partition(
     FmPartitioner bisector(config.fm);
     const KWayPipelineResult r = kway_partition(
         bisector, coarsest,
-        mix_seed(seed, 0x141714ULL, static_cast<std::uint64_t>(run)),
-        pipeline, nullptr, ctx);
-    const double cost = config.objective == KWayObjective::kCut
-                            ? r.cut_cost
-                            : r.connectivity_cost;
+        mix_seed(seed, 0x141714ULL, static_cast<std::uint64_t>(run)), config,
+        nullptr, ctx);
+    const double cost = r.cost(config.objective);
     if (part.empty() || cost < best_cost) {
       part = r.part;
       best_cost = cost;
@@ -121,43 +49,25 @@ MultilevelKWayResult multilevel_kway_partition(
     }
   }
 
-  // Phase 3: uncoarsen — project one level down, then refine.  After a
-  // stop the remaining levels are still projected (never refined), so the
-  // flat result is always a valid k-way partition.
-  for (std::size_t i = levels.size(); i-- > 0;) {
-    std::vector<NodeId> fine(levels[i].fine_to_coarse.size());
-    for (std::size_t u = 0; u < fine.size(); ++u) {
-      fine[u] = part[levels[i].fine_to_coarse[u]];
-    }
-    part = std::move(fine);
-    const Hypergraph& lg =
-        i == 0 ? g : levels[i - 1].graph;
-    if (ctx && ctx->should_stop()) {
-      out.interrupted = true;
-      continue;
-    }
-    out.passes += refine_level(
-        lg, part, config,
-        mix_seed(seed, 0x57A9EULL, static_cast<std::uint64_t>(i)), telemetry,
-        &out.interrupted);
-  }
+  // Phase 3: project one level down, then the k-way level step.  After a
+  // stop the step still legalizes every level and skips only PROP, so the
+  // flat result always fits the window.
+  uncoarsen(g, levels, part, [&](const Hypergraph& lg, std::size_t i) {
+    KWayPipelineResult r = kway_level_step(
+        lg, std::move(part),
+        mix_seed(seed, 0x57A9EULL, static_cast<std::uint64_t>(i)), config,
+        telemetry, ctx);
+    part = std::move(r.part);
+    out.passes += r.passes;
+    if (r.interrupted) out.interrupted = true;
+  });
 
+  out.k = config.k;
   out.part = std::move(part);
   const KWayState state(g, out.part, config.k);
   out.cut_cost = state.cut_cost();
   out.connectivity_cost = state.connectivity_cost();
   return out;
-}
-
-MultilevelKWayPartitioner::MultilevelKWayPartitioner(
-    MultilevelKWayConfig config)
-    : config_(std::move(config)) {
-  if (config_.k < 2) {
-    throw std::invalid_argument("multilevel kway: k must be >= 2");
-  }
-  if (config_.k > 256) {
-    throw std::invalid_argument("multilevel kway: k must be <= 256");
-  }
 }
 
 std::string MultilevelKWayPartitioner::name() const {
@@ -169,21 +79,9 @@ PartitionResult MultilevelKWayPartitioner::run(const Hypergraph& g,
                                                const BalanceConstraint& balance,
                                                std::uint64_t seed) {
   (void)balance;  // k-way balance comes from config_.tolerance
-  if (config_.k > g.num_nodes()) {
-    throw std::invalid_argument("multilevel kway: k exceeds node count");
-  }
-  const MultilevelKWayResult r =
-      multilevel_kway_partition(g, seed, config_, telemetry_);
-  PartitionResult out;
-  out.side.resize(r.part.size());
-  for (std::size_t i = 0; i < r.part.size(); ++i) {
-    out.side[i] = static_cast<std::uint8_t>(r.part[i]);
-  }
-  out.cut_cost = config_.objective == KWayObjective::kCut
-                     ? r.cut_cost
-                     : r.connectivity_cost;
-  out.passes = r.passes;
-  return out;
+  return kway_partition_result(
+      multilevel_kway_partition(g, seed, config_, telemetry_),
+      config_.objective);
 }
 
 std::unique_ptr<Bipartitioner> MultilevelKWayPartitioner::clone() const {

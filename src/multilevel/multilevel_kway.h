@@ -1,13 +1,13 @@
-// Multilevel k-way V-cycle: the 2-way driver's coarsening and projection
-// machinery with native k-way refinement at every uncoarsening level.
+// Multilevel k-way V-cycle: the 2-way driver's V-cycle with a k-way
+// coarsest solve and the k-way level step at every uncoarsening level.
 //
-// Coarsening is the same attraction clustering + contract() loop as
-// multilevel_driver.h.  The coarsest graph is solved by the k-way pipeline
-// (recursive bisection with a multi-start FM bisector, then the configured
-// k-way refiner), and each projection step hands the next finer level an
-// already-good k-way partition that the greedy polish legalizes and the
-// k-way PROP refiner improves toward the configured objective.  Balance at
-// every level is the shared proportional-share window
+// The hierarchy comes from the 2-way driver's coarsen() with a k floor (no
+// level drops below k nodes) and is walked back down by its uncoarsen().
+// The coarsest graph is solved by the k-way pipeline (recursive bisection
+// with a multi-start FM bisector, then kway_level_step), and each projection
+// hands the next finer level an already-good k-way partition for the same
+// kway_level_step: greedy legalization, then k-way PROP unless stopped.
+// Balance at every level is the shared proportional-share window
 // (partition/kway_balance.h) recomputed against that level's max node
 // size, so super-node weight never makes the window unreachable.
 //
@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "fm/fm_partitioner.h"
 #include "kway/kway_partitioner.h"
@@ -26,41 +26,25 @@
 
 namespace prop {
 
-struct MultilevelKWayConfig {
-  NodeId k = 2;
-  /// Proportional-share tolerance applied at every level.
-  double tolerance = 0.1;
-  KWayObjective objective = KWayObjective::kConnectivity;
-  /// Refiner at every uncoarsening level AND inside the coarsest solve.
-  KWayRefinerKind refiner = KWayRefinerKind::kProp;
-  KWayPropConfig prop;  ///< PROP-stage knobs (refiner == kProp)
-  int greedy_max_passes = 16;
+/// The k-way pipeline settings (used at the coarsest level and at every
+/// uncoarsening level) plus the shared coarsening settings.
+struct MultilevelKWayConfig : KWayPipelineConfig, CoarseningConfig {
   /// Multi-start pipeline runs on the coarsest graph (best objective wins).
-  int initial_runs = 4;
+  static constexpr int initial_runs = 4;
   /// 2-way bisector settings for recursive bisection on the coarsest graph.
   FmConfig fm;
-  // Coarsening knobs — same semantics as MultilevelConfig.
-  NodeId coarsest_max_nodes = 200;
-  int max_levels = 64;
-  double min_reduction = 0.95;
-  double max_cluster_fraction = 1.0 / 32.0;
-  std::size_t rating_max_net_size = 64;
   /// Optional runtime context: polled between levels (a stop skips the
-  /// remaining refinement but still projects down to the flat graph) and
-  /// threaded into the PROP refiner.  Null = inert.
+  /// remaining PROP refinement but still projects and legalizes down to the
+  /// flat graph) and threaded into the PROP refiner.  Null = inert.
   const RunContext* context = nullptr;
 };
 
-struct MultilevelKWayResult {
-  std::vector<NodeId> part;  ///< part id in [0, k) per node
-  double cut_cost = 0.0;
-  double connectivity_cost = 0.0;
-  int passes = 0;
+struct MultilevelKWayResult : KWayPipelineResult {
   int levels = 0;             ///< contraction levels built (0 = ran flat)
   NodeId coarsest_nodes = 0;  ///< node count of the coarsest graph
-  bool interrupted = false;
 };
 
+/// Throws std::invalid_argument unless 2 <= k <= min(256, g.num_nodes()).
 MultilevelKWayResult multilevel_kway_partition(
     const Hypergraph& g, std::uint64_t seed,
     const MultilevelKWayConfig& config,
@@ -71,7 +55,8 @@ MultilevelKWayResult multilevel_kway_partition(
 /// BalanceConstraint ignored, validate via validate_kway_result).
 class MultilevelKWayPartitioner final : public Bipartitioner {
  public:
-  explicit MultilevelKWayPartitioner(MultilevelKWayConfig config);
+  explicit MultilevelKWayPartitioner(MultilevelKWayConfig config)
+      : config_(std::move(config)) {}
 
   std::string name() const override;
 

@@ -63,6 +63,11 @@ TEST(Contraction, CoarseCutEqualsFlatCut) {
   const Partition coarse_part(r.coarse, coarse_u8);
   const Partition flat_part(g, flat_u8);
   EXPECT_DOUBLE_EQ(coarse_part.cut_cost(), flat_part.cut_cost());
+
+  // k-way part ids project the same way.
+  const std::vector<NodeId> coarse_parts = {2, 0, 1};
+  EXPECT_EQ(project_partition(r.fine_to_coarse, coarse_parts),
+            (std::vector<NodeId>{2, 2, 0, 0, 1, 1}));
 }
 
 TEST(Contraction, CompactsEmptyClusters) {

@@ -1,13 +1,21 @@
 // Multilevel V-cycle driver: clustering invariants, hierarchy facts,
 // partition validity under both refiners, determinism (including the
-// run_many thread-count contract), and deadline robustness.
+// run_many thread-count contract), and deadline robustness.  The hierarchy,
+// determinism and cancellation cases also run the k-way V-cycle at k = 4
+// and k = 8.
 #include "multilevel/multilevel_driver.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "hypergraph/mcnc_suite.h"
+#include "multilevel/multilevel_kway.h"
+#include "partition/kway_balance.h"
 #include "partition/runner.h"
 #include "partition/validate.h"
 #include "runtime/run_context.h"
@@ -15,6 +23,26 @@
 
 namespace prop {
 namespace {
+
+MultilevelKWayConfig kway_config(NodeId k) {
+  MultilevelKWayConfig config;
+  config.k = k;
+  return config;
+}
+
+/// Every part of a k-way `side` vector lies inside the shared window.
+void expect_in_kway_window(const Hypergraph& g, const MultilevelKWayConfig& c,
+                           const std::vector<std::uint8_t>& side) {
+  const KWayBalanceWindow window = kway_part_window(
+      g.total_node_size(), c.k, c.tolerance, kway_max_node_size(g));
+  std::vector<std::int64_t> size(c.k, 0);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) size[side[u]] += g.node_size(u);
+  for (NodeId p = 0; p < c.k; ++p) {
+    EXPECT_TRUE(window.contains(size[p]))
+        << "part " << p << " size " << size[p] << " outside [" << window.lo
+        << ", " << window.hi << "]";
+  }
+}
 
 TEST(AttractionClusters, DenseCompleteAndCoarsening) {
   const Hypergraph g = testing::small_random_circuit(21);
@@ -72,6 +100,31 @@ TEST(Multilevel, BuildsHierarchyAndValidPartition) {
   EXPECT_FALSE(r.interrupted);
   const ValidationReport report = validate_result(g, balance, r.part);
   EXPECT_TRUE(report.ok) << report.message;
+
+  for (const NodeId k : {4u, 8u}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    MultilevelKWayConfig kc = kway_config(k);
+    kc.coarsest_max_nodes = 50;
+    const MultilevelKWayResult kr = multilevel_kway_partition(g, 3, kc);
+    EXPECT_GE(kr.levels, 1);
+    EXPECT_LE(kr.coarsest_nodes, std::max(kc.coarsest_max_nodes, k));
+    EXPECT_FALSE(kr.interrupted);
+    const ValidationReport kreport = validate_kway_result(
+        g, k, kc.objective, kway_partition_result(kr, kc.objective));
+    EXPECT_TRUE(kreport.ok) << kreport.message;
+  }
+}
+
+TEST(Multilevel, KWayRejectsKOutsideTwoToNodeCount) {
+  // 24 nodes: below coarsest_max_nodes, so the V-cycle runs flat and k = 1
+  // would otherwise reach the pipeline without any level refusing it.
+  const Hypergraph g = testing::chain_of_blocks(4, 6);
+  for (const NodeId k : {0u, 1u, 25u, 257u}) {
+    EXPECT_THROW(multilevel_kway_partition(g, 1, kway_config(k)),
+                 std::invalid_argument)
+        << "k = " << k;
+  }
+  EXPECT_NO_THROW(multilevel_kway_partition(g, 1, kway_config(24)));
 }
 
 TEST(Multilevel, RunsFlatWhenAlreadySmall) {
@@ -118,6 +171,20 @@ TEST(Multilevel, DeterministicInSeedAndUnderClone) {
   const std::unique_ptr<Bipartitioner> copy = algo.clone();
   const PartitionResult c = copy->run(g, balance, 5);
   EXPECT_EQ(a.side, c.side);
+
+  for (const NodeId k : {4u, 8u}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    MultilevelKWayPartitioner kalgo(kway_config(k));
+    const PartitionResult ka = kalgo.run(g, balance, 5);
+    const PartitionResult kb = kalgo.run(g, balance, 5);
+    EXPECT_EQ(ka.side, kb.side);
+    EXPECT_EQ(ka.cut_cost, kb.cut_cost);
+    const std::unique_ptr<Bipartitioner> kcopy = kalgo.clone();
+    const PartitionResult kc = kcopy->run(g, balance, 5);
+    EXPECT_EQ(ka.side, kc.side);
+    const ValidationReport report = kalgo.validate(g, balance, ka);
+    EXPECT_TRUE(report.ok) << report.message;
+  }
 }
 
 TEST(Multilevel, RunManyStatsIdenticalAcrossThreadCounts) {
@@ -173,6 +240,32 @@ TEST(Multilevel, InjectedCancellationViaRunChecked) {
   EXPECT_EQ(outcome.status.code, StatusCode::kInjectedFault);
   const ValidationReport report = validate_result(g, balance, outcome.result);
   EXPECT_TRUE(report.ok) << report.message;
+
+  // The k-way V-cycle: a cancellation before the last level still legalizes
+  // every projected level, so the flat parts fit the k-way window.
+  const Hypergraph p1 = make_mcnc_circuit("p1");
+  const BalanceConstraint p1_balance = BalanceConstraint::forty_five(p1);
+  struct KWayCase {
+    NodeId k;
+    const char* spec;
+  };
+  for (const KWayCase& c : {KWayCase{4, "cancel-mid-pass@40"},
+                            KWayCase{8, "cancel-mid-pass@1"}}) {
+    SCOPED_TRACE(std::string("k = ") + std::to_string(c.k) + ", " + c.spec);
+    CancelToken kcancel{Deadline::never()};
+    FaultInjector kinjector(c.spec);
+    RunContext kcontext;
+    kcontext.cancel = &kcancel;
+    kcontext.injector = &kinjector;
+    MultilevelKWayPartitioner kalgo(kway_config(c.k));
+    const RunOutcome kout = run_checked(kalgo, p1, p1_balance, 11, &kcontext);
+    ASSERT_TRUE(kout.has_result());
+    EXPECT_EQ(kout.status.code, StatusCode::kInjectedFault);
+    const ValidationReport kreport =
+        kalgo.validate(p1, p1_balance, kout.result);
+    EXPECT_TRUE(kreport.ok) << kreport.message;
+    expect_in_kway_window(p1, kalgo.config(), kout.result.side);
+  }
 }
 
 }  // namespace
