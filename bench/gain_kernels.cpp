@@ -231,7 +231,7 @@ Timed run_gain_query(const prop::Hypergraph& g, prop::Partition& part,
 // --- move-update kernel ----------------------------------------------------
 // Repeated PropRefiner passes: the production move loop (speculative move of
 // every feasible node with lock / move_locked / neighbor set_probability
-// cache maintenance, AVL bulk load + updates, best-prefix rollback).  The
+// cache maintenance, gain-heap bulk load + updates, best-prefix rollback).  The
 // first pass is the untimed warmup; every later pass must allocate nothing.
 Timed run_move_update(const prop::Hypergraph& g,
                       const std::vector<std::uint8_t>& sides,

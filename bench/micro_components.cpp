@@ -1,5 +1,5 @@
 // google-benchmark micro suite: the container and kernel costs behind the
-// complexity analysis of paper Sec. 3.5 (bucket vs AVL operations, gain
+// complexity analysis of paper Sec. 3.5 (bucket vs gain-heap operations, gain
 // recomputation, incremental cut maintenance, Lanczos/CG steps, circuit
 // generation).
 #include <benchmark/benchmark.h>
@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "core/prob_gain.h"
-#include "datastruct/avl_tree.h"
 #include "datastruct/bucket_list.h"
+#include "datastruct/gain_heap.h"
 #include "fm/fm_gains.h"
 #include "hypergraph/generator.h"
 #include "hypergraph/mcnc_suite.h"
@@ -47,18 +47,61 @@ void BM_BucketListUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketListUpdate)->Arg(1 << 10)->Arg(1 << 14);
 
-void BM_AvlTreeUpdate(benchmark::State& state) {
+prop::GainHeap<double> random_heap(std::uint32_t n, prop::Rng& rng) {
+  prop::GainHeap<double> heap(n);
+  for (std::uint32_t h = 0; h < n; ++h) heap.insert(h, rng.uniform());
+  return heap;
+}
+
+void BM_GainHeapUpdate(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  prop::AvlTree<double> tree(n);
   prop::Rng rng(2);
-  for (std::uint32_t h = 0; h < n; ++h) tree.insert(h, rng.uniform());
+  prop::GainHeap<double> heap = random_heap(n, rng);
   for (auto _ : state) {
     const auto h = static_cast<std::uint32_t>(rng.bounded(n));
-    tree.update(h, rng.uniform());
-    benchmark::DoNotOptimize(tree.max());
+    heap.update(h, rng.uniform());
+    benchmark::DoNotOptimize(heap.max());
   }
 }
-BENCHMARK(BM_AvlTreeUpdate)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_GainHeapUpdate)->Arg(1 << 10)->Arg(1 << 14);
+
+/// The best handle passing a feasibility test that rejects a fixed share
+/// of handles, as PROP's and FM's selection does with non-unit node sizes
+/// near the balance bound.  range(1) is the rejected share in percent.
+void BM_GainHeapMaxIf(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto rejected = static_cast<std::uint32_t>(state.range(1));
+  prop::Rng rng(8);
+  prop::GainHeap<double> heap = random_heap(n, rng);
+  std::vector<std::uint8_t> infeasible(n);
+  for (auto& f : infeasible) f = rng.bounded(100) < rejected ? 1 : 0;
+  for (auto _ : state) {
+    const auto h = static_cast<std::uint32_t>(rng.bounded(n));
+    heap.update(h, rng.uniform());
+    benchmark::DoNotOptimize(
+        heap.max_if([&](std::uint32_t v) { return infeasible[v] == 0; }));
+  }
+}
+BENCHMARK(BM_GainHeapMaxIf)->Args({1 << 14, 50})->Args({1 << 14, 95});
+
+/// The top-5 walk that PROP's refresh_node step drives after every move.
+void BM_GainHeapTopK(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  prop::Rng rng(9);
+  prop::GainHeap<double> heap = random_heap(n, rng);
+  for (auto _ : state) {
+    const auto h = static_cast<std::uint32_t>(rng.bounded(n));
+    heap.update(h, rng.uniform());
+    int budget = 5;
+    std::uint32_t sum = 0;
+    heap.for_each_descending([&](std::uint32_t v, double) {
+      sum += v;
+      return --budget > 0;
+    });
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_GainHeapTopK)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_FmGainRecompute(benchmark::State& state) {
   const prop::Hypergraph g = bench_circuit();

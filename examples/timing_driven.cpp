@@ -4,8 +4,8 @@
 // as short as possible".
 //
 // Pipeline: unit-delay STA over the netlist -> per-net criticality ->
-// net weights 1 + alpha * criticality -> PROP (AVL tree handles weighted
-// nets natively).  Compares how many *critical* nets are cut with and
+// net weights 1 + alpha * criticality -> PROP (its gain heap handles
+// weighted nets natively).  Compares how many *critical* nets are cut with and
 // without the weighting.
 //
 //   ./timing_driven [--circuit t5] [--alpha 4] [--runs 10] [--seed 1]

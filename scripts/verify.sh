@@ -20,15 +20,21 @@ ctest --preset release -j "$jobs"
 # stay within --max-regress of the committed BENCH_gain_kernels.json
 # baseline (exit 4 on regression, exit 6 on a steady-state allocation).
 echo "== gain-kernel perf gate (release) =="
+gain_status=0
 ./build/bench/gain_kernels --fast --baseline BENCH_gain_kernels.json \
-  --out build/BENCH_gain_kernels.json > /dev/null
+  --out build/BENCH_gain_kernels.json > /dev/null || gain_status=$?
+echo "bench/gain_kernels --fast exit code: $gain_status"
+if [[ $gain_status -ne 0 ]]; then exit "$gain_status"; fi
 
 # Multilevel crossover gate: the 10^3+10^4 subset of bench/multilevel
 # against the committed BENCH_multilevel.json (same >25% wall-regression
 # policy; also re-asserts map/hash merge equivalence in-binary, exit 6).
 echo "== multilevel perf gate (release) =="
+ml_status=0
 ./build/bench/multilevel --fast --baseline BENCH_multilevel.json \
-  --out build/BENCH_multilevel.json > /dev/null
+  --out build/BENCH_multilevel.json > /dev/null || ml_status=$?
+echo "bench/multilevel --fast exit code: $ml_status"
+if [[ $ml_status -ne 0 ]]; then exit "$ml_status"; fi
 
 # K-way pipeline gate: rb / rb+greedy / rb+k-way-PROP on the fast subset
 # against the committed BENCH_kway.json.  In-binary asserts: every run's
@@ -41,6 +47,31 @@ kway_status=0
   --out build/BENCH_kway.json > /dev/null || kway_status=$?
 echo "bench/kway --fast --assert-quality exit code: $kway_status"
 if [[ $kway_status -ne 0 ]]; then exit "$kway_status"; fi
+
+# Thread-count determinism of the gain-container engines: the partition
+# file and the timing-free stats document must be byte-identical at
+# --threads 1 and 4 for PROP, FM-tree, LA-3, the V-cycle and k-way PROP.
+echo "== thread-count byte identity (release) =="
+ident_dir=build/thread_identity
+mkdir -p "$ident_dir"
+ident_case=0
+for args in "--algo prop" "--algo fm-tree" "--algo la3" "--multilevel" \
+    "--algo prop --k 4"; do
+  ident_case=$((ident_case + 1))
+  for threads in 1 4; do
+    # shellcheck disable=SC2086  # $args is a flag list
+    ./build/tools/prop_cli --circuit p1 $args --runs 4 --threads "$threads" \
+      --out "$ident_dir/$ident_case.$threads.out" \
+      --stats-json "$ident_dir/$ident_case.$threads.json" --stats-timing=0 \
+      > /dev/null
+  done
+  for ext in out json; do
+    if ! cmp -s "$ident_dir/$ident_case.1.$ext" "$ident_dir/$ident_case.4.$ext"; then
+      echo "prop_cli $args: --$ext differs between --threads 1 and 4"
+      exit 1
+    fi
+  done
+done
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== skipped sanitizer pass (--fast) =="
@@ -65,6 +96,20 @@ echo "== budgeted-run smoke (asan+ubsan) =="
   --time-budget-ms 1 --on-timeout=best > /dev/null
 ./build-asan/tools/prop_cli --circuit t4 --algo eig1 --runs 1 \
   --inject=lanczos-stall > /dev/null
+
+# The other two gain-heap users next to PROP: FM-tree (double keys) and
+# LA-3 (gain-vector keys), on a bundled circuit and on a small .hgr with
+# weighted nets and nodes, where selection goes through max_if.
+echo "== gain-heap engines smoke (asan+ubsan) =="
+weighted_hgr=build-asan/weighted_smoke.hgr
+awk 'BEGIN { n = 300; m = 360; print m, n, 11
+  for (i = 0; i < m; i++) print i % 3 + 1, i % n + 1, (i * 7 + 3) % n + 1, (i * 13 + 5) % n + 1
+  for (i = 0; i < n; i++) print i % 3 + 1 }' > "$weighted_hgr"
+for algo in fm-tree la3; do
+  ./build-asan/tools/prop_cli --circuit t4 --algo "$algo" --runs 2 > /dev/null
+  ./build-asan/tools/prop_cli --hgr "$weighted_hgr" --algo "$algo" --runs 2 \
+    > /dev/null
+done
 
 # Multilevel V-cycle smoke on a 10^4-node circuit under ASan: both
 # refiners drive the full coarsen/contract/project/refine path, which is

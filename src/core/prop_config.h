@@ -51,7 +51,7 @@ struct PropConfig {
 
   /// Debug auditor cadence: every `audit_interval` moves the pass verifies
   /// the exact incremental invariants from scratch — per-(net, side) locked
-  /// pin counts, tree keys == gains[], probability bounds, cut cost — and
+  /// pin counts, heap keys == gains[], probability bounds, cut cost — and
   /// throws std::logic_error on a mismatch beyond `audit_tolerance`.  The
   /// gap between gains[] and a from-scratch ProbGainCalculator recompute is
   /// *recorded* as PassStats::max_gain_drift (it mixes FP drift with the

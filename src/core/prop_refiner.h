@@ -6,12 +6,14 @@
 //   * bootstraps probabilities and iterates gains -> probabilities
 //     (Sec. 3.3);
 //   * gives every free node k - 1 probabilistic gains, one per target
-//     part, and keeps it in its part's AVL tree keyed by the best of them;
-//   * step 6: takes the best feasible move of each part's tree; the highest
+//     part, and keeps it in its part's gain heap keyed by the best of them
+//     (datastruct/gain_heap.h; the paper's Sec. 3.5 uses an AVL tree, and
+//     the heap keeps its exact move order);
+//   * step 6: takes the best feasible move of each part's heap; the highest
 //     gain wins, and gains within kGainEps go to the heavier source part;
 //   * steps 7-8: locks and moves the winner, applies before/after per-net
 //     gain deltas to every free pin of its nets, then recomputes the top
-//     top_update_width nodes of the source and target trees from scratch
+//     top_update_width nodes of the source and target heaps from scratch
 //     ("a few, say five, of the top ranked nodes", Sec. 3.4);
 //   * step 10: rolls back to the maximum prefix of exact objective gains,
 //     so every accepted pass is a true improvement.
@@ -36,7 +38,7 @@
 
 #include "core/prob_gain.h"
 #include "core/prop_config.h"
-#include "datastruct/avl_tree.h"
+#include "datastruct/gain_heap.h"
 #include "hypergraph/hypergraph.h"
 #include "telemetry/invariant_audit.h"
 #include "util/timer.h"
@@ -69,7 +71,7 @@ class PropRefiner {
   static constexpr int kMaxEmergencyResyncs = 3;
 
   /// `state`, the rules' referents and `config` must outlive the refiner.
-  /// Owns the gain calculator, the per-part trees and every per-pass
+  /// Owns the gain calculator, the per-part heaps and every per-pass
   /// scratch vector, so passes after the first allocate nothing — the
   /// gain-kernel microbenchmark asserts exactly that.
   PropRefiner(State& state, PropMoveRules<State> rules,
@@ -91,7 +93,7 @@ class PropRefiner {
   bool drift_gave_up() const noexcept { return drift_gave_up_; }
 
  private:
-  using GainTree = AvlTree<double>;
+  using GainHeaps = GainHeap<double>;
 
   struct Move {
     NodeId node = kInvalidNode;
@@ -122,7 +124,7 @@ class PropRefiner {
   double best_gain(NodeId v) const noexcept;
 
   void bootstrap_probabilities();
-  void load_trees(PassStats* stats);
+  void load_heaps(PassStats* stats);
   Move feasible_move(NodeId u, std::int64_t size) const;
   Move best_move(NodeId p, bool unit_sizes) const;
   void first_visit(NodeId v);
@@ -136,7 +138,7 @@ class PropRefiner {
   PropMoveRules<State> rules_;
   const PropConfig* config_;
   ProbGainCalculator<State> calc_;
-  GainTree trees_;  // one tree per part over one node array
+  GainHeaps heaps_;  // one heap per part over one handle space
 
   // Per-pass workspace, cleared and reused across passes instead of
   // reallocated (perf: the bootstrap + move loop must be allocation-free).
@@ -169,7 +171,7 @@ PropRefiner<State>::PropRefiner(State& state, PropMoveRules<State> rules,
       rules_(rules),
       config_(&config),
       calc_(state, config.gain_engine),
-      trees_(state.graph().num_nodes(), state.k()),
+      heaps_(state.graph().num_nodes(), state.k()),
       gains_(static_cast<std::size_t>(state.graph().num_nodes()) * targets(),
              0.0),
       fresh_(targets(), 0.0),
@@ -234,13 +236,13 @@ void PropRefiner<State>::bootstrap_probabilities() {
   }
 }
 
-/// Bulk-loads each part's tree: stage (best gain, node), sort ascending
-/// with node id as the tie key, link as a balanced tree in O(n).  Equal
-/// gains end up in node order — the same LIFO recency order inserting
-/// node by node would produce.  (std::sort, not stable_sort: the latter
-/// allocates, and this path must stay allocation-free across passes.)
+/// Bulk-loads each part's heap: stage (best gain, node), sort ascending
+/// with node id as the tie key, lay out in O(n).  Equal gains join in node
+/// order — the same LIFO recency order inserting node by node would
+/// produce.  (std::sort, not stable_sort: the latter allocates, and this
+/// path must stay allocation-free across passes.)
 template <typename State>
-void PropRefiner<State>::load_trees(PassStats* stats) {
+void PropRefiner<State>::load_heaps(PassStats* stats) {
   const State& state = *state_;
   const NodeId n = state.graph().num_nodes();
   for (NodeId p = 0; p < state.k(); ++p) {
@@ -249,7 +251,7 @@ void PropRefiner<State>::load_trees(PassStats* stats) {
       if (state.part(u) == p) sort_scratch_.emplace_back(best_gain(u), u);
     }
     std::sort(sort_scratch_.begin(), sort_scratch_.end());
-    trees_.assign_sorted(sort_scratch_.data(),
+    heaps_.assign_sorted(sort_scratch_.data(),
                          static_cast<std::uint32_t>(sort_scratch_.size()), p);
   }
   if (stats) stats->ops.inserts += n;
@@ -272,24 +274,22 @@ typename PropRefiner<State>::Move PropRefiner<State>::feasible_move(
   return m;
 }
 
-/// Step 6 within one part: the first node of p's tree, in descending gain
-/// order, that has a feasible target.  With unit node sizes feasibility
-/// depends only on (from, to), so the tree's max decides for all of p
-/// instead of walking past every infeasible node.
+/// Step 6 within one part: the highest-ranked node of p's heap that has a
+/// feasible target.  With unit node sizes feasibility depends only on
+/// (from, to), so the heap's max decides for all of p.
 template <typename State>
 typename PropRefiner<State>::Move PropRefiner<State>::best_move(
     NodeId p, bool unit_sizes) const {
-  if (trees_.empty(p)) return {};
-  if (unit_sizes) return feasible_move(trees_.max(p), 1);
+  if (heaps_.empty(p)) return {};
+  if (unit_sizes) return feasible_move(heaps_.max(p), 1);
   const Hypergraph& g = state_->graph();
-  Move found;
-  trees_.for_each_descending(
-      [&](GainTree::Handle h, double) {
-        found = feasible_move(h, g.node_size(h));
-        return found.node == kInvalidNode;
+  const GainHeaps::Handle h = heaps_.max_if(
+      [&](GainHeaps::Handle v) {
+        return feasible_move(v, g.node_size(v)).node != kInvalidNode;
       },
       p);
-  return found;
+  if (h == GainHeaps::kNull) return {};
+  return feasible_move(h, g.node_size(h));
 }
 
 /// Registers v as visited by the current move, with zeroed deltas.  Kept
@@ -306,7 +306,7 @@ void PropRefiner<State>::first_visit(NodeId v) {
 /// deltas to gains_ and repositions it.  An exact == 0.0 test never fires
 /// once real contributions cancel: the -old/+new accumulation leaves FP
 /// residue.  Residue-sized deltas count as "contribution unchanged" so
-/// they neither trigger tree updates nor seep into gains_.
+/// they neither trigger heap updates nor seep into gains_.
 template <typename State>
 void PropRefiner<State>::apply_deltas(PassStats* stats) {
   const double* delta = delta_.data();
@@ -322,14 +322,14 @@ void PropRefiner<State>::apply_deltas(PassStats* stats) {
   }
 }
 
-/// Re-keys v's tree entry by its best gain — unless that is unchanged, as
+/// Re-keys v's heap entry by its best gain — unless that is unchanged, as
 /// when only a non-best target's gain moved — and rewrites its
 /// probability.
 template <typename State>
 void PropRefiner<State>::reposition(NodeId v, PassStats* stats) {
   const double best = best_gain(v);
-  if (trees_.contains(v) && trees_.key(v) != best) {
-    trees_.update(v, best);
+  if (heaps_.contains(v) && heaps_.key(v) != best) {
+    heaps_.update(v, best);
     if (stats) ++stats->ops.updates;
   }
   calc_.set_probability(v, config_->model.from_gain(best));
@@ -337,9 +337,9 @@ void PropRefiner<State>::reposition(NodeId v, PassStats* stats) {
 
 /// Recomputes the gains and probability of one free node from scratch at
 /// the current probability state.  When every recomputed gain matches the
-/// stored one within kGainEps, the node's tree position and probability
-/// are already right — skip the AVL remove/reinsert churn entirely
-/// (counted as a refresh_skip in telemetry).
+/// stored one within kGainEps, the node's heap position and probability
+/// are already right — skip the re-key entirely (counted as a refresh_skip
+/// in telemetry).
 template <typename State>
 void PropRefiner<State>::refresh_node(NodeId v, PassStats* stats) {
   const std::size_t first = base(v);
@@ -359,7 +359,7 @@ void PropRefiner<State>::refresh_node(NodeId v, PassStats* stats) {
 /// Drift-bounding resync (PropConfig::resync_interval and the emergency
 /// resyncs): renormalizes the cached products exactly, then recomputes the
 /// gains of every free node from scratch at the current probability state
-/// and refreshes the tree keys.  Probabilities are deliberately left to
+/// and refreshes the heap keys.  Probabilities are deliberately left to
 /// the normal per-move updates, so immediately after this sweep gains_
 /// agrees with ProbGainCalculator::gain exactly.
 template <typename State>
@@ -369,8 +369,8 @@ void PropRefiner<State>::resync_gains(PassStats* stats) {
   for (NodeId v = 0; v < n; ++v) {
     if (!calc_.is_free(v)) continue;
     calc_.gains(v, &gains_[base(v)]);
-    if (trees_.contains(v)) {
-      trees_.update(v, best_gain(v));
+    if (heaps_.contains(v)) {
+      heaps_.update(v, best_gain(v));
       if (stats) ++stats->ops.updates;
     }
     if (stats) ++stats->resyncs;
@@ -379,7 +379,7 @@ void PropRefiner<State>::resync_gains(PassStats* stats) {
 
 /// Debug audit (PropConfig::audit_interval): asserts the exact incremental
 /// invariants — locked-pin counts, cached products vs the scratch oracle,
-/// probability bounds, tree membership and tree keys vs gains_, incremental
+/// probability bounds, heap membership and heap keys vs gains_, incremental
 /// objective cost — and records the gap between gains_ and a from-scratch
 /// recompute as telemetry drift.  The gap is hard-asserted only when
 /// `expect_scratch_match` is set (right after a resync): in between, gains_
@@ -398,14 +398,14 @@ double PropRefiner<State>::audit(PassStats* stats,
   for (NodeId v = 0; v < n; ++v) {
     const NodeId own = state.part(v);
     if (!calc_.is_free(v)) {
-      audit::check_node(!trees_.contains(v),
-                        "PROP: locked node still in a gain tree", v);
+      audit::check_node(!heaps_.contains(v),
+                        "PROP: locked node still in a gain heap", v);
       continue;
     }
-    audit::check_node(trees_.tree_of(v) == own,
-                      "PROP: free node not in its part's gain tree", v);
-    audit::check_node(trees_.key(v) == best_gain(v),
-                      "PROP: tree key out of sync with gains[]", v);
+    audit::check_node(heaps_.tree_of(v) == own,
+                      "PROP: free node not in its part's gain heap", v);
+    audit::check_node(heaps_.key(v) == best_gain(v),
+                      "PROP: heap key out of sync with gains[]", v);
     for (NodeId j = 0; j < targets(); ++j) {
       const double stored = gains_[base(v) + j];
       const double scratch = calc_.gain(v, target(own, j));
@@ -443,7 +443,7 @@ double PropRefiner<State>::run_pass(PassStats* stats) {
 
   calc_.reset();
   bootstrap_probabilities();
-  load_trees(stats);
+  load_heaps(stats);
 
   moved_.clear();
   double prefix = 0.0;
@@ -457,7 +457,7 @@ double PropRefiner<State>::run_pass(PassStats* stats) {
       interrupted_ = true;
       break;
     }
-    // Step 6: the best feasible move over every part's tree.  Gain ties
+    // Step 6: the best feasible move over every part's heap.  Gain ties
     // (within FP tolerance — an exact comparison of probability products
     // never ties) go to the heavier source part, mirroring FM.
     Move pick;
@@ -477,7 +477,7 @@ double PropRefiner<State>::run_pass(PassStats* stats) {
     const NodeId from = pick.from;
     const NodeId to = pick.to;
     const double immediate = rules_.gain(state, u, to);
-    trees_.erase(u);
+    heaps_.erase(u);
     if (stats) ++stats->ops.erases;
 
     // Step 8 / Sec. 3.4: after moving u, the removal probabilities of u's
@@ -508,8 +508,8 @@ double PropRefiner<State>::run_pass(PassStats* stats) {
       for (const NodeId p : {std::min(from, to), std::max(from, to)}) {
         to_refresh_.clear();
         int budget = config.top_update_width;
-        trees_.for_each_descending(
-            [&](GainTree::Handle h, double) {
+        heaps_.for_each_descending(
+            [&](GainHeaps::Handle h, double) {
               to_refresh_.push_back(h);
               return --budget > 0;
             },

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <vector>
 
-#include "datastruct/avl_tree.h"
 #include "datastruct/bucket_list.h"
+#include "datastruct/gain_heap.h"
 #include "fm/fm_gains.h"
 #include "partition/initial.h"
 #include "telemetry/invariant_audit.h"
@@ -46,38 +46,30 @@ class BucketContainer {
   BucketList list_;
 };
 
-/// AVL-tree gain container (general net costs).
+/// Gain-heap container (general net costs): the FM-tree structure.
 class TreeContainer {
  public:
-  using Tree = AvlTree<double>;
-  using Handle = Tree::Handle;
-  static constexpr Handle kNull = Tree::kNull;
+  using Heap = GainHeap<double>;
+  using Handle = Heap::Handle;
+  static constexpr Handle kNull = Heap::kNull;
 
-  TreeContainer(Handle capacity, int /*max_gain*/) : tree_(capacity) {}
+  TreeContainer(Handle capacity, int /*max_gain*/) : heap_(capacity) {}
 
-  void clear() { tree_.clear(); }
-  bool empty() const { return tree_.empty(); }
-  double gain(Handle h) const { return tree_.key(h); }
-  bool contains(Handle h) const { return tree_.contains(h); }
-  void insert(Handle h, double g) { tree_.insert(h, g); }
-  void erase(Handle h) { tree_.erase(h); }
-  void update(Handle h, double g) { tree_.update(h, g); }
-  Handle best() const { return tree_.max(); }
+  void clear() { heap_.clear(); }
+  bool empty() const { return heap_.empty(); }
+  double gain(Handle h) const { return heap_.key(h); }
+  bool contains(Handle h) const { return heap_.contains(h); }
+  void insert(Handle h, double g) { heap_.insert(h, g); }
+  void erase(Handle h) { heap_.erase(h); }
+  void update(Handle h, double g) { heap_.update(h, g); }
+  Handle best() const { return heap_.max(); }
   template <typename Pred>
   Handle best_where(Pred&& pred) const {
-    Handle found = kNull;
-    tree_.for_each_descending([&](Handle h, double) {
-      if (pred(h)) {
-        found = h;
-        return false;
-      }
-      return true;
-    });
-    return found;
+    return heap_.max_if(pred);
   }
 
  private:
-  Tree tree_;
+  Heap heap_;
 };
 
 /// Debug audit (FmConfig::audit_interval): checks every free node's

@@ -2,7 +2,7 @@
 //
 // The 2-way PROP pass lifted to k parts: PropRefiner<KWayState>
 // (core/prop_refiner.h) — the same engine as the 2-way refiner, with one
-// AVL tree per part, k - 1 probabilistic gains per node kept current by
+// gain heap per part, k - 1 probabilistic gains per node kept current by
 // per-net deltas, and rollback to the prefix with the best exact objective
 // improvement.  The exact-prefix acceptance makes every pass monotone in
 // the configured objective: the refined partition is never worse than the

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "datastruct/avl_tree.h"
+#include "datastruct/gain_heap.h"
 #include "datastruct/gain_vector.h"
 #include "la/la_gains.h"
 #include "partition/initial.h"
@@ -17,31 +17,31 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-using GainTree = AvlTree<GainVector>;
+using SideHeap = GainHeap<GainVector>;
 
 /// Debug audit (LaConfig::audit_interval): gain vectors are integral, so
-/// the incrementally-maintained vectors, the tree keys and the calculator's
+/// the incrementally-maintained vectors, the heap keys and the calculator's
 /// binding-number counts must all match a from-scratch recompute exactly.
 void la_audit(const Partition& part, const LaGainCalculator& calc,
-              const std::vector<GainVector>& gains, const GainTree& side0,
-              const GainTree& side1, const LaConfig& config,
+              const std::vector<GainVector>& gains, const SideHeap& side0,
+              const SideHeap& side1, const LaConfig& config,
               PassStats* stats) {
   audit::check_cut(part, config.audit_tolerance);
   calc.audit_consistency();
   audit::DriftTracker drift;
   const NodeId n = part.graph().num_nodes();
   for (NodeId v = 0; v < n; ++v) {
-    const GainTree& own = part.side(v) == 0 ? side0 : side1;
-    const GainTree& other = part.side(v) == 0 ? side1 : side0;
+    const SideHeap& own = part.side(v) == 0 ? side0 : side1;
+    const SideHeap& other = part.side(v) == 0 ? side1 : side0;
     if (!calc.is_free(v)) {
       audit::check_node(!side0.contains(v) && !side1.contains(v),
-                        "LA: locked node still in a gain tree", v);
+                        "LA: locked node still in a gain heap", v);
       continue;
     }
     audit::check_node(own.contains(v) && !other.contains(v),
-                      "LA: free node not in its side's gain tree", v);
+                      "LA: free node not in its side's gain heap", v);
     audit::check_node(own.key(v) == gains[v],
-                      "LA: tree key out of sync with gains[]", v);
+                      "LA: heap key out of sync with gains[]", v);
     const GainVector scratch = calc.gain(v);
     for (int level = 1; level <= scratch.levels(); ++level) {
       drift.observe(v, gains[v].at(level), scratch.at(level));
@@ -62,7 +62,7 @@ void la_audit(const Partition& part, const LaGainCalculator& calc,
 /// rollback to the best prefix still runs, so the partition stays valid).
 double la_pass(Partition& part, const BalanceConstraint& balance,
                const LaConfig& config, LaGainCalculator& calc,
-               GainTree& side0, GainTree& side1, PassStats* stats,
+               SideHeap& side0, SideHeap& side1, PassStats* stats,
                bool& interrupted) {
   const Hypergraph& g = part.graph();
   const NodeId n = g.num_nodes();
@@ -90,25 +90,19 @@ double la_pass(Partition& part, const BalanceConstraint& balance,
   std::size_t best_count = 0;
 
   // With unit node sizes feasibility is uniform per side, so it is checked
-  // once instead of walking the tree past every infeasible node.
+  // once instead of searching the heap for a feasible node.
   const bool unit_sizes = g.unit_node_sizes();
-  const auto best_feasible = [&](GainTree& tree, int side) {
-    if (tree.empty()) return GainTree::kNull;
+  const auto best_feasible = [&](SideHeap& heap, int side) {
+    if (heap.empty()) return SideHeap::kNull;
     if (unit_sizes) {
       if (!balance.move_feasible(part.side_size(0), side, 1)) {
-        return GainTree::kNull;
+        return SideHeap::kNull;
       }
-      return tree.max();
+      return heap.max();
     }
-    GainTree::Handle found = GainTree::kNull;
-    tree.for_each_descending([&](GainTree::Handle h, const GainVector&) {
-      if (balance.move_feasible(part.side_size(0), side, g.node_size(h))) {
-        found = h;
-        return false;
-      }
-      return true;
+    return heap.max_if([&](SideHeap::Handle h) {
+      return balance.move_feasible(part.side_size(0), side, g.node_size(h));
     });
-    return found;
   };
 
   while (true) {
@@ -118,12 +112,12 @@ double la_pass(Partition& part, const BalanceConstraint& balance,
     }
     const auto h0 = best_feasible(side0, 0);
     const auto h1 = best_feasible(side1, 1);
-    if (h0 == GainTree::kNull && h1 == GainTree::kNull) break;
+    if (h0 == SideHeap::kNull && h1 == SideHeap::kNull) break;
 
     NodeId u;
-    if (h0 == GainTree::kNull) {
+    if (h0 == SideHeap::kNull) {
       u = h1;
-    } else if (h1 == GainTree::kNull) {
+    } else if (h1 == SideHeap::kNull) {
       u = h0;
     } else if (side0.key(h0) != side1.key(h1)) {
       u = side0.key(h0) > side1.key(h1) ? h0 : h1;
@@ -168,9 +162,9 @@ double la_pass(Partition& part, const BalanceConstraint& balance,
     for (const NodeId v : affected) {
       if (delta[v].is_zero()) continue;  // contribution unchanged
       gains[v] += delta[v];
-      GainTree& tree = part.side(v) == 0 ? side0 : side1;
-      if (tree.contains(v)) {
-        tree.update(v, gains[v]);
+      SideHeap& heap = part.side(v) == 0 ? side0 : side1;
+      if (heap.contains(v)) {
+        heap.update(v, gains[v]);
         if (stats) ++stats->ops.updates;
       }
     }
@@ -204,8 +198,8 @@ double la_pass(Partition& part, const BalanceConstraint& balance,
 RefineOutcome la_refine(Partition& part, const BalanceConstraint& balance,
                         const LaConfig& config) {
   LaGainCalculator calc(part, config.lookahead);
-  GainTree side0(part.graph().num_nodes());
-  GainTree side1(part.graph().num_nodes());
+  SideHeap side0(part.graph().num_nodes());
+  SideHeap side1(part.graph().num_nodes());
   RefineOutcome out;
   for (int pass = 0; pass < config.max_passes; ++pass) {
     PassStats* stats = nullptr;

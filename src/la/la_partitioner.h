@@ -1,6 +1,7 @@
 // LA-k bipartitioner: FM-style passes selecting by lexicographic lookahead
-// gain vector (paper Sec. 2).  Gain vectors live in an AVL tree, avoiding
-// the Theta(p^k) bucket memory blow-up the paper criticizes.
+// gain vector (paper Sec. 2).  Gain vectors live in a gain heap
+// (datastruct/gain_heap.h), avoiding the Theta(p^k) bucket memory blow-up
+// the paper criticizes.
 #pragma once
 
 #include <cstdint>

@@ -21,7 +21,7 @@
 
 namespace prop {
 
-/// Operation counts on the pass's gain container (bucket list or AVL tree).
+/// Operation counts on the pass's gain container (bucket list or gain heap).
 struct GainContainerOps {
   std::uint64_t inserts = 0;
   std::uint64_t erases = 0;
@@ -49,8 +49,8 @@ struct PassStats {
   double cpu_seconds = 0.0;
   GainContainerOps ops;
 
-  /// Top-of-tree refreshes whose recomputed gain matched the stored value
-  /// within tolerance, skipping the AVL remove/reinsert (PROP only).
+  /// Top-of-heap refreshes whose recomputed gain matched the stored value
+  /// within tolerance, skipping the heap re-key (PROP only).
   std::uint64_t refresh_skips = 0;
 
   // Invariant-audit observations (zero unless auditing was enabled).
