@@ -3,25 +3,23 @@
 #include <string>
 
 #include "fm/fm_partitioner.h"
-#include "partition/initial.h"
-#include "util/rng.h"
 
 namespace prop {
 
 template class PropRefiner<Partition>;
+template class PassEngine<PropRefiner<Partition>>;
 
 RefineOutcome prop_refine(Partition& part, const BalanceConstraint& balance,
                           const PropConfig& config) {
   config.model.validate();
   PropRefiner<Partition> refiner(part, {&balance}, config);
-  RefineOutcome out;
-  out.passes = refiner.refine();
-  out.interrupted = refiner.interrupted();
+  RefineOutcome out = refiner.refine();
   if (refiner.drift_gave_up()) {
     // Last link of the degradation chain: finish with deterministic FM
     // gains — the exact incremental engine of the family — so the run still
-    // converges to a locally-optimal cut.  Telemetry and the runtime
-    // context carry over (FM passes append to the same trajectory).
+    // converges to a locally-optimal cut.  Every pass-loop setting carries
+    // over: FM passes append to the same trajectory, poll the same context
+    // and keep auditing at the same cadence.
     if (config.context) {
       config.context->degrade(
           "prop.gain-drift", "fm-fallback",
@@ -33,25 +31,14 @@ RefineOutcome prop_refine(Partition& part, const BalanceConstraint& balance,
     fm.max_passes = config.max_passes;
     fm.telemetry = config.telemetry;
     fm.context = config.context;
+    fm.audit_interval = config.audit_interval;
+    fm.audit_tolerance = config.audit_tolerance;
     const RefineOutcome fm_out = fm_refine(part, balance, fm);
     out.passes += fm_out.passes;
     out.interrupted = fm_out.interrupted;
+    out.cut_cost = fm_out.cut_cost;
   }
-  out.cut_cost = part.cut_cost();
   return out;
-}
-
-PartitionResult PropPartitioner::run(const Hypergraph& g,
-                                     const BalanceConstraint& balance,
-                                     std::uint64_t seed) {
-  Rng rng(seed);
-  Partition part(g, random_balanced_sides(g, balance, rng));
-  const RefineOutcome outcome = prop_refine(part, balance, config_);
-  PartitionResult result;
-  result.side = part.sides();
-  result.cut_cost = outcome.cut_cost;
-  result.passes = outcome.passes;
-  return result;
 }
 
 }  // namespace prop

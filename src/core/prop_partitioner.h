@@ -9,13 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "core/prop_config.h"
 #include "core/prop_refiner.h"
+#include "partition/iterative_partitioner.h"
 #include "partition/partition.h"
-#include "partition/partitioner.h"
 #include "telemetry/invariant_audit.h"
 
 namespace prop {
@@ -42,44 +41,24 @@ struct PropMoveRules<Partition> {
 };
 
 extern template class PropRefiner<Partition>;
+extern template class PassEngine<PropRefiner<Partition>>;
 
 /// Improves `part` in place with PROP passes until no positive gain.  When
 /// the drift chain gives up, refinement finishes with deterministic FM.
 RefineOutcome prop_refine(Partition& part, const BalanceConstraint& balance,
                           const PropConfig& config = {});
 
-class PropPartitioner final : public Bipartitioner {
+class PropPartitioner final
+    : public IterativePartitioner<PropPartitioner, PropConfig, prop_refine> {
  public:
-  explicit PropPartitioner(PropConfig config = {}) : config_(config) {
+  explicit PropPartitioner(PropConfig config = {})
+      : IterativePartitioner(config) {
     config_.model.validate();
   }
 
   std::string name() const override { return "PROP"; }
 
-  bool attach_telemetry(RefineTelemetry* telemetry) noexcept override {
-    config_.telemetry = telemetry;
-    return true;
-  }
-
-  bool attach_context(const RunContext* context) noexcept override {
-    config_.context = context;
-    return true;
-  }
-
-  PartitionResult run(const Hypergraph& g, const BalanceConstraint& balance,
-                      std::uint64_t seed) override;
-
-  std::unique_ptr<Bipartitioner> clone() const override {
-    auto copy = std::make_unique<PropPartitioner>(config_);
-    copy->attach_telemetry(nullptr);
-    copy->attach_context(nullptr);
-    return copy;
-  }
-
   const PropConfig& config() const noexcept { return config_; }
-
- private:
-  PropConfig config_;
 };
 
 }  // namespace prop

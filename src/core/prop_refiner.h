@@ -2,7 +2,10 @@
 // Sec. 3.4 update policy; k > 2 is the paper's Sec. 5 k-way direction).
 //
 // One class template serves Partition (k = 2, core/prop_partitioner.h) and
-// KWayState (kway/kway_prop_refiner.h).  Each pass:
+// KWayState (kway/kway_prop_refiner.h).  It is the PROP gain policy of the
+// shared pass skeleton (partition/pass_engine.h), which owns the move loop,
+// the pick over parts, the prefix, the audit cadence, the rollback and the
+// until-no-gain driver; this class supplies the hooks.  Each pass:
 //   * bootstraps probabilities and iterates gains -> probabilities
 //     (Sec. 3.3);
 //   * gives every free node k - 1 probabilistic gains, one per target
@@ -16,17 +19,17 @@
 //     top_update_width nodes of the source and target heaps from scratch
 //     ("a few, say five, of the top ranked nodes", Sec. 3.4);
 //   * step 10: rolls back to the maximum prefix of exact objective gains,
-//     so every accepted pass is a true improvement.
+//     so every accepted pass is a true improvement (the skeleton's part).
 // At k = 2 every rule reduces to the paper's bisection.  What differs per
 // caller is PropMoveRules<State>: move feasibility, the exact objective and
 // how a move is applied.
 //
-// Drift chain: audits (PropConfig::audit_interval) measure how far the
-// incremental gains are from a scratch recompute.  Drift beyond
-// kDriftHardBound, or an injected prop-drift fault, triggers an emergency
-// resync; after kMaxEmergencyResyncs of those the engine rolls the pass
-// back and reports drift_gave_up(), and the caller ends the chain (FM at
-// k = 2, a plain stop at k > 2).
+// Drift chain (the after_move hook): audits (PropConfig::audit_interval)
+// measure how far the incremental gains are from a scratch recompute.
+// Drift beyond kDriftHardBound, or an injected prop-drift fault, triggers
+// an emergency resync; after kMaxEmergencyResyncs of those the engine
+// rolls the pass back and reports drift_gave_up(), and the caller ends the
+// chain (FM at k = 2, a plain stop at k > 2).
 #pragma once
 
 #include <algorithm>
@@ -40,8 +43,8 @@
 #include "core/prop_config.h"
 #include "datastruct/gain_heap.h"
 #include "hypergraph/hypergraph.h"
+#include "partition/pass_engine.h"
 #include "telemetry/invariant_audit.h"
-#include "util/timer.h"
 
 namespace prop {
 
@@ -53,10 +56,8 @@ template <typename State>
 struct PropMoveRules;
 
 template <typename State>
-class PropRefiner {
+class PropRefiner : public PassEngine<PropRefiner<State>> {
  public:
-  /// A pass must improve the exact objective by more than this to count.
-  static constexpr double kEps = 1e-9;
   /// Probabilistic gains are products/sums of doubles, so exact comparisons
   /// essentially never fire; anything within this absolute tolerance is
   /// treated as equal (selection ties) or as unchanged (delta application,
@@ -77,22 +78,15 @@ class PropRefiner {
   PropRefiner(State& state, PropMoveRules<State> rules,
               const PropConfig& config);
 
-  /// One pass (steps 3-10 of Fig. 2).  Returns the accepted improvement.
-  double run_pass(PassStats* stats = nullptr);
+  // run_pass() (steps 3-10 of Fig. 2) and refine() come from the pass
+  // skeleton.
 
-  /// Runs passes until one gains nothing, config.max_passes is reached,
-  /// the run is interrupted or the drift chain gives up, recording one
-  /// PassStats per pass when config.telemetry is set.  Returns the passes
-  /// run.
-  int refine();
-
-  /// Deadline/cancellation stopped the last pass early (sticky).
-  bool interrupted() const noexcept { return interrupted_; }
   /// The drift chain gave up on probabilistic gains (sticky); the pass was
   /// rolled back to its best prefix.
   bool drift_gave_up() const noexcept { return drift_gave_up_; }
 
  private:
+  friend class PassEngine<PropRefiner>;
   using GainHeaps = GainHeap<double>;
 
   struct Move {
@@ -102,10 +96,26 @@ class PropRefiner {
     double gain = 0.0;
   };
 
-  struct MoveRecord {
-    NodeId node;
-    NodeId from;
-  };
+  // The skeleton's hooks (partition/pass_engine.h).
+  const PropConfig& config() const noexcept { return *config_; }
+  NodeId parts() const noexcept { return state_->k(); }
+  std::int64_t part_size(NodeId p) const noexcept {
+    return state_->part_size(p);
+  }
+  double cost() const { return rules_.cost(*state_); }
+  void load(PassStats* stats);
+  Move best_move(NodeId p) const;
+  /// Step 6's key order.  Gains within kGainEps tie (an exact comparison
+  /// of probability products never ties), and the skeleton gives a tie to
+  /// the heavier source part, mirroring FM.
+  int compare(const Move& a, const Move& b) const noexcept {
+    if (a.gain > b.gain + kGainEps) return 1;
+    return std::abs(a.gain - b.gain) <= kGainEps ? 0 : -1;
+  }
+  double apply(const Move& m, PassStats* stats);
+  bool after_move(std::size_t moves, bool audit_due, PassStats* stats);
+  void undo(const PassMove& m) { rules_.move(*state_, m.node, m.from); }
+  bool gave_up() const noexcept { return drift_gave_up_; }
 
   NodeId targets() const noexcept { return state_->k() - 1; }
   /// Target part of v's j-th gain slot (slots skip v's own part).
@@ -126,7 +136,6 @@ class PropRefiner {
   void bootstrap_probabilities();
   void load_heaps(PassStats* stats);
   Move feasible_move(NodeId u, std::int64_t size) const;
-  Move best_move(NodeId p, bool unit_sizes) const;
   void first_visit(NodeId v);
   void apply_deltas(PassStats* stats);
   void reposition(NodeId v, PassStats* stats);
@@ -147,14 +156,13 @@ class PropRefiner {
   // the visited prefix is ever touched).
   std::vector<double> delta_;
   std::vector<double> fresh_;  // k - 1 scratch gains of one node
-  std::vector<MoveRecord> moved_;
   std::vector<NodeId> to_refresh_;
   std::vector<std::uint32_t> visit_stamp_;
   std::vector<std::uint32_t> visit_index_;  // v's position in to_refresh_
   std::vector<std::pair<double, NodeId>> sort_scratch_;
   std::uint32_t stamp_ = 0;
+  const bool unit_sizes_;
 
-  bool interrupted_ = false;
   bool drift_gave_up_ = false;
   int emergency_resyncs_ = 0;
 };
@@ -167,7 +175,8 @@ class PropRefiner {
 template <typename State>
 PropRefiner<State>::PropRefiner(State& state, PropMoveRules<State> rules,
                                 const PropConfig& config)
-    : state_(&state),
+    : PassEngine<PropRefiner>(state.graph().num_nodes()),
+      state_(&state),
       rules_(rules),
       config_(&config),
       calc_(state, config.gain_engine),
@@ -176,9 +185,9 @@ PropRefiner<State>::PropRefiner(State& state, PropMoveRules<State> rules,
              0.0),
       fresh_(targets(), 0.0),
       visit_stamp_(state.graph().num_nodes(), 0),
-      visit_index_(state.graph().num_nodes(), 0) {
+      visit_index_(state.graph().num_nodes(), 0),
+      unit_sizes_(state.graph().unit_node_sizes()) {
   const NodeId n = state.graph().num_nodes();
-  moved_.reserve(n);
   to_refresh_.reserve(n);
   delta_.reserve(gains_.size());
   sort_scratch_.reserve(n);
@@ -279,9 +288,9 @@ typename PropRefiner<State>::Move PropRefiner<State>::feasible_move(
 /// (from, to), so the heap's max decides for all of p.
 template <typename State>
 typename PropRefiner<State>::Move PropRefiner<State>::best_move(
-    NodeId p, bool unit_sizes) const {
+    NodeId p) const {
   if (heaps_.empty(p)) return {};
-  if (unit_sizes) return feasible_move(heaps_.max(p), 1);
+  if (unit_sizes_) return feasible_move(heaps_.max(p), 1);
   const Hypergraph& g = state_->graph();
   const GainHeaps::Handle h = heaps_.max_if(
       [&](GainHeaps::Handle v) {
@@ -425,181 +434,119 @@ double PropRefiner<State>::audit(PassStats* stats,
   return drift.max_abs;
 }
 
+/// Pass start (steps 3-5 of Fig. 2): fresh probabilities and gains, then
+/// the heaps.
 template <typename State>
-double PropRefiner<State>::run_pass(PassStats* stats) {
-  State& state = *state_;
-  const PropConfig& config = *config_;
-  const Hypergraph& g = state.graph();
-  const NodeId n = g.num_nodes();
-
+void PropRefiner<State>::load(PassStats* stats) {
   // The visit-stamp epoch survives across passes (visit_stamp_ is reused,
   // not reallocated); rewind it before it can wrap around: at most one
   // stamp per move, at most n moves.
-  if (static_cast<std::uint64_t>(stamp_) + n + 1 >=
+  if (static_cast<std::uint64_t>(stamp_) + state_->graph().num_nodes() + 1 >=
       static_cast<std::uint32_t>(-1)) {
     std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
     stamp_ = 0;
   }
-
   calc_.reset();
   bootstrap_probabilities();
   load_heaps(stats);
-
-  moved_.clear();
-  double prefix = 0.0;
-  double best_prefix = 0.0;
-  std::size_t best_count = 0;
-  const bool unit_sizes = g.unit_node_sizes();
-  const RunContext* ctx = config.context;
-
-  while (true) {
-    if (ctx && ctx->refine_should_stop()) {
-      interrupted_ = true;
-      break;
-    }
-    // Step 6: the best feasible move over every part's heap.  Gain ties
-    // (within FP tolerance — an exact comparison of probability products
-    // never ties) go to the heavier source part, mirroring FM.
-    Move pick;
-    for (NodeId p = 0; p < state.k(); ++p) {
-      const Move m = best_move(p, unit_sizes);
-      if (m.node == kInvalidNode) continue;
-      if (pick.node == kInvalidNode || m.gain > pick.gain + kGainEps ||
-          (std::abs(m.gain - pick.gain) <= kGainEps &&
-           state.part_size(p) > state.part_size(pick.from))) {
-        pick = m;
-      }
-    }
-    if (pick.node == kInvalidNode) break;
-
-    // Step 7: the recorded prefix uses the exact objective gain.
-    const NodeId u = pick.node;
-    const NodeId from = pick.from;
-    const NodeId to = pick.to;
-    const double immediate = rules_.gain(state, u, to);
-    heaps_.erase(u);
-    if (stats) ++stats->ops.erases;
-
-    // Step 8 / Sec. 3.4: after moving u, the removal probabilities of u's
-    // nets change, so every free pin of those nets gets the before/after
-    // delta of that net's gain contributions — O(pins of u's nets * (k-1))
-    // per move.
-    ++stamp_;
-    to_refresh_.clear();
-    delta_.clear();
-    const auto visit = [&](double sign) {
-      for (const NetId net : g.nets_of(u)) {
-        calc_.for_each_net_gain(net, [&](NodeId v, NodeId vto, double gv) {
-          if (v == u) return;
-          if (visit_stamp_[v] != stamp_) first_visit(v);
-          delta_[std::size_t{visit_index_[v]} * targets() + slot_of(v, vto)] +=
-              sign * gv;
-        });
-      }
-    };
-    visit(-1.0);
-    calc_.lock(u);
-    rules_.move(state, u, to);
-    calc_.move_locked(u, from);
-    visit(+1.0);
-    apply_deltas(stats);
-
-    if (config.top_update_width > 0) {
-      for (const NodeId p : {std::min(from, to), std::max(from, to)}) {
-        to_refresh_.clear();
-        int budget = config.top_update_width;
-        heaps_.for_each_descending(
-            [&](GainHeaps::Handle h, double) {
-              to_refresh_.push_back(h);
-              return --budget > 0;
-            },
-            p);
-        for (const NodeId v : to_refresh_) refresh_node(v, stats);
-      }
-    }
-
-    moved_.push_back({u, from});
-    prefix += immediate;
-    if (prefix > best_prefix + kEps) {
-      best_prefix = prefix;
-      best_count = moved_.size();
-    }
-
-    const bool audit_due =
-        config.audit_interval > 0 &&
-        moved_.size() % static_cast<std::size_t>(config.audit_interval) == 0;
-    const bool resync_due =
-        config.resync_interval > 0 &&
-        moved_.size() % static_cast<std::size_t>(config.resync_interval) == 0;
-    double observed_drift = 0.0;
-    if (audit_due) {
-      // Records the accumulated drift since the last resync (or pass start).
-      observed_drift = audit(stats, /*expect_scratch_match=*/false);
-    }
-    if (resync_due) {
-      resync_gains(stats);
-      if (audit_due) {
-        // Post-resync, gains[] must equal the scratch recompute exactly.
-        audit(stats, /*expect_scratch_match=*/true);
-      }
-    }
-
-    // Degradation chain: drift beyond the hard bound (or an injected
-    // prop-drift fault) means the incremental probabilistic bookkeeping is
-    // diverging.  First line of defense is an emergency resync — the same
-    // sweep as resync_interval, just demand-driven; past
-    // kMaxEmergencyResyncs the engine gives up on probabilistic gains and
-    // leaves the last link of the chain to its caller.
-    bool drift_blowup = observed_drift > kDriftHardBound;
-    if (ctx && ctx->inject(FaultSite::kPropDrift)) drift_blowup = true;
-    if (drift_blowup) {
-      ++emergency_resyncs_;
-      if (emergency_resyncs_ > kMaxEmergencyResyncs) {
-        drift_gave_up_ = true;
-        break;  // roll back to the best prefix
-      }
-      resync_gains(stats);
-      if (ctx) {
-        ctx->degrade("prop.gain-drift", "resync",
-                     "drift " + std::to_string(observed_drift) + " at move " +
-                         std::to_string(moved_.size()));
-      }
-    }
-  }
-
-  // Step 10: keep only the maximum-prefix moves, undoing newest first.
-  for (std::size_t i = moved_.size(); i > best_count; --i) {
-    rules_.move(state, moved_[i - 1].node, moved_[i - 1].from);
-  }
-  if (stats) {
-    stats->moves_attempted = moved_.size();
-    stats->moves_accepted = best_count;
-    stats->best_prefix_gain = best_prefix;
-  }
-  return best_prefix;
 }
 
+/// Steps 7-8: locks and moves u, then updates the gains around it.
+/// Returns the exact objective gain, which the recorded prefix uses.
 template <typename State>
-int PropRefiner<State>::refine() {
-  const PropConfig& config = *config_;
-  int passes = 0;
-  for (int pass = 0; pass < config.max_passes; ++pass) {
-    PassStats* stats = nullptr;
-    WallTimer wall;
-    ThreadCpuTimer cpu;
-    if (config.telemetry) {
-      stats = &config.telemetry->begin_pass(rules_.cost(*state_));
+double PropRefiner<State>::apply(const Move& m, PassStats* stats) {
+  State& state = *state_;
+  const Hypergraph& g = state.graph();
+  const NodeId u = m.node;
+  const double immediate = rules_.gain(state, u, m.to);
+  heaps_.erase(u);
+  if (stats) ++stats->ops.erases;
+
+  // Step 8 / Sec. 3.4: after moving u, the removal probabilities of u's
+  // nets change, so every free pin of those nets gets the before/after
+  // delta of that net's gain contributions — O(pins of u's nets * (k-1))
+  // per move.
+  ++stamp_;
+  to_refresh_.clear();
+  delta_.clear();
+  const auto visit = [&](double sign) {
+    for (const NetId net : g.nets_of(u)) {
+      calc_.for_each_net_gain(net, [&](NodeId v, NodeId vto, double gv) {
+        if (v == u) return;
+        if (visit_stamp_[v] != stamp_) first_visit(v);
+        delta_[std::size_t{visit_index_[v]} * targets() + slot_of(v, vto)] +=
+            sign * gv;
+      });
     }
-    const double gained = run_pass(stats);
-    ++passes;
-    if (stats) {
-      stats->cut_after = rules_.cost(*state_);
-      stats->wall_seconds = wall.seconds();
-      stats->cpu_seconds = cpu.seconds();
+  };
+  visit(-1.0);
+  calc_.lock(u);
+  rules_.move(state, u, m.to);
+  calc_.move_locked(u, m.from);
+  visit(+1.0);
+  apply_deltas(stats);
+
+  if (config_->top_update_width > 0) {
+    for (const NodeId p : {std::min(m.from, m.to), std::max(m.from, m.to)}) {
+      to_refresh_.clear();
+      int budget = config_->top_update_width;
+      heaps_.for_each_descending(
+          [&](GainHeaps::Handle h, double) {
+            to_refresh_.push_back(h);
+            return --budget > 0;
+          },
+          p);
+      for (const NodeId v : to_refresh_) refresh_node(v, stats);
     }
-    if (interrupted_ || drift_gave_up_ || gained <= kEps) break;
   }
-  return passes;
+  return immediate;
+}
+
+/// After `moves` moves: the audit and resync sweeps when due, then the
+/// drift chain.  Returns false when the chain gives up, which ends the pass
+/// (it still rolls back to the best prefix).
+template <typename State>
+bool PropRefiner<State>::after_move(std::size_t moves, bool audit_due,
+                                    PassStats* stats) {
+  const PropConfig& config = *config_;
+  const RunContext* ctx = config.context;
+  const bool resync_due =
+      config.resync_interval > 0 &&
+      moves % static_cast<std::size_t>(config.resync_interval) == 0;
+  double observed_drift = 0.0;
+  if (audit_due) {
+    // Records the accumulated drift since the last resync (or pass start).
+    observed_drift = audit(stats, /*expect_scratch_match=*/false);
+  }
+  if (resync_due) {
+    resync_gains(stats);
+    if (audit_due) {
+      // Post-resync, gains[] must equal the scratch recompute exactly.
+      audit(stats, /*expect_scratch_match=*/true);
+    }
+  }
+
+  // Degradation chain: drift beyond the hard bound (or an injected
+  // prop-drift fault) means the incremental probabilistic bookkeeping is
+  // diverging.  First line of defense is an emergency resync — the same
+  // sweep as resync_interval, just demand-driven; past
+  // kMaxEmergencyResyncs the engine gives up on probabilistic gains and
+  // leaves the last link of the chain to its caller.
+  bool drift_blowup = observed_drift > kDriftHardBound;
+  if (ctx && ctx->inject(FaultSite::kPropDrift)) drift_blowup = true;
+  if (!drift_blowup) return true;
+  ++emergency_resyncs_;
+  if (emergency_resyncs_ > kMaxEmergencyResyncs) {
+    drift_gave_up_ = true;
+    return false;
+  }
+  resync_gains(stats);
+  if (ctx) {
+    ctx->degrade("prop.gain-drift", "resync",
+                 "drift " + std::to_string(observed_drift) + " at move " +
+                     std::to_string(moves));
+  }
+  return true;
 }
 
 }  // namespace prop

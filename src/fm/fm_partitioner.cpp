@@ -1,19 +1,18 @@
 #include "fm/fm_partitioner.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "datastruct/bucket_list.h"
 #include "datastruct/gain_heap.h"
 #include "fm/fm_gains.h"
-#include "partition/initial.h"
+#include "partition/pass_engine.h"
 #include "telemetry/invariant_audit.h"
-#include "util/timer.h"
 
 namespace prop {
 namespace {
-
-constexpr double kEps = 1e-9;
 
 /// Bucket-array gain container (unit net costs: gains are integers).
 class BucketContainer {
@@ -72,214 +71,153 @@ class TreeContainer {
   Heap heap_;
 };
 
-/// Debug audit (FmConfig::audit_interval): checks every free node's
-/// container gain against a from-scratch Eqn. 1 recompute, container
-/// membership against the lock flags, and the incremental cut cost.  The
-/// FM update rules restate the scratch definition exactly, so any gap
-/// beyond FP accumulation noise is a bug.
+/// The FM gain policy of the pass skeleton (partition/pass_engine.h):
+/// one gain container per side keyed by the immediate gain (Eqn. 1),
+/// updated by the classic neighbour delta rules.
 template <typename Container>
-void fm_audit(const Partition& part, const std::vector<std::uint8_t>& locked,
-              const Container& side0, const Container& side1,
-              const FmConfig& config, PassStats* stats) {
-  audit::check_cut(part, config.audit_tolerance);
-  audit::DriftTracker drift;
-  const NodeId n = part.graph().num_nodes();
-  for (NodeId v = 0; v < n; ++v) {
-    const Container& own = part.side(v) == 0 ? side0 : side1;
-    const Container& other = part.side(v) == 0 ? side1 : side0;
-    if (locked[v]) {
-      audit::check_node(!side0.contains(v) && !side1.contains(v),
-                        "FM: locked node still in a gain container", v);
-      continue;
-    }
-    audit::check_node(own.contains(v) && !other.contains(v),
-                      "FM: free node not in its side's gain container", v);
-    const double scratch = part.immediate_gain(v);
-    drift.observe(v, own.gain(v), scratch);
-    audit::check_close(own.gain(v), scratch, config.audit_tolerance,
-                       "FM incremental gain", v);
-  }
-  if (stats) {
-    ++stats->audits;
-    if (drift.max_abs > stats->max_gain_drift) {
-      stats->max_gain_drift = drift.max_abs;
-    }
-  }
-}
-
-/// Per-pass scratch hoisted out of fm_pass so repeated passes of one
-/// refine call reuse the same buffers instead of reallocating them.
-struct FmScratch {
-  std::vector<std::uint8_t> locked;
-  std::vector<NodeId> moved;
-};
-
-/// One FM pass: virtually move everything, roll back to the best prefix.
-/// Returns the accepted (positive part of the) improvement.  Sets
-/// `interrupted` when a deadline/cancellation cut the pass short (the
-/// rollback to the best prefix still runs, so the partition stays valid).
-template <typename Container>
-double fm_pass(Partition& part, const BalanceConstraint& balance,
-               const FmConfig& config, Container& side0, Container& side1,
-               FmScratch& scratch, PassStats* stats, bool& interrupted) {
-  const Hypergraph& g = part.graph();
-  const NodeId n = g.num_nodes();
-
-  scratch.locked.assign(n, 0);
-  std::vector<std::uint8_t>& locked = scratch.locked;
-  side0.clear();
-  side1.clear();
-  for (NodeId u = 0; u < n; ++u) {
-    (part.side(u) == 0 ? side0 : side1).insert(u, part.immediate_gain(u));
-  }
-  if (stats) stats->ops.inserts += n;
-
-  scratch.moved.clear();
-  std::vector<NodeId>& moved = scratch.moved;
-  moved.reserve(n);
-  double prefix = 0.0;
-  double best_prefix = 0.0;
-  std::size_t best_count = 0;
-
-  const auto feasible_from = [&](int side) {
-    return [&part, &balance, &g, side](NodeId h) {
-      return balance.move_feasible(part.side_size(0), side, g.node_size(h));
-    };
-  };
-  // With unit node sizes feasibility is uniform per side, so it is checked
-  // once instead of scanning the container past every infeasible node.
-  const bool unit_sizes = g.unit_node_sizes();
-  const auto candidate = [&](Container& c, int side) -> NodeId {
-    if (c.empty()) return Container::kNull;
-    if (unit_sizes) {
-      if (!balance.move_feasible(part.side_size(0), side, 1)) {
-        return Container::kNull;
-      }
-      return c.best();
-    }
-    return c.best_where(feasible_from(side));
+class FmPass : public PassEngine<FmPass<Container>> {
+ public:
+  struct Move {
+    NodeId node = kInvalidNode;
+    NodeId from = 0;
+    double gain = 0.0;
   };
 
-  while (true) {
-    if (config.context && config.context->refine_should_stop()) {
-      interrupted = true;
-      break;
-    }
-    const NodeId h0 = candidate(side0, 0);
-    const NodeId h1 = candidate(side1, 1);
-    if (h0 == Container::kNull && h1 == Container::kNull) break;
+  FmPass(Partition& part, const BalanceConstraint& balance,
+         const FmConfig& config)
+      : PassEngine<FmPass>(part.graph().num_nodes()),
+        part_(part),
+        balance_(balance),
+        config_(config),
+        side_{Container(part.graph().num_nodes(), max_gain(part)),
+              Container(part.graph().num_nodes(), max_gain(part))},
+        locked_(part.graph().num_nodes(), 0),
+        unit_sizes_(part.graph().unit_node_sizes()) {}
 
-    NodeId u;
-    if (h0 == Container::kNull) {
-      u = h1;
-    } else if (h1 == Container::kNull) {
-      u = h0;
-    } else if (side0.gain(h0) != side1.gain(h1)) {
-      u = side0.gain(h0) > side1.gain(h1) ? h0 : h1;
+  const FmConfig& config() const noexcept { return config_; }
+  NodeId parts() const noexcept { return 2; }
+  std::int64_t part_size(NodeId p) const noexcept {
+    return part_.part_size(p);
+  }
+  double cost() const noexcept { return part_.cut_cost(); }
+
+  void load(PassStats* stats) {
+    const NodeId n = part_.graph().num_nodes();
+    std::fill(locked_.begin(), locked_.end(), 0);
+    side_[0].clear();
+    side_[1].clear();
+    for (NodeId u = 0; u < n; ++u) {
+      side_[part_.side(u)].insert(u, part_.immediate_gain(u));
+    }
+    if (stats) stats->ops.inserts += n;
+  }
+
+  /// The highest-gain node of side p that may move.  With unit node sizes
+  /// feasibility is uniform per side, so it is checked once instead of
+  /// scanning the container past every infeasible node.
+  Move best_move(NodeId p) {
+    Container& c = side_[p];
+    if (c.empty()) return {};
+    const int side = static_cast<int>(p);
+    typename Container::Handle h;
+    if (unit_sizes_) {
+      if (!balance_.move_feasible(part_.side_size(0), side, 1)) return {};
+      h = c.best();
     } else {
-      // Gain tie: move from the heavier side to improve balance headroom.
-      u = part.side_size(0) >= part.side_size(1) ? h0 : h1;
+      const Hypergraph& g = part_.graph();
+      h = c.best_where([&](NodeId v) {
+        return balance_.move_feasible(part_.side_size(0), side,
+                                      g.node_size(v));
+      });
+      if (h == Container::kNull) return {};
     }
+    return {h, p, c.gain(h)};
+  }
 
-    const double immediate = part.immediate_gain(u);
-    (part.side(u) == 0 ? side0 : side1).erase(u);
-    locked[u] = 1;
+  int compare(const Move& a, const Move& b) const noexcept {
+    if (a.gain == b.gain) return 0;
+    return a.gain > b.gain ? 1 : -1;
+  }
+
+  double apply(const Move& m, PassStats* stats) {
+    const NodeId u = m.node;
+    const double immediate = part_.immediate_gain(u);
+    side_[m.from].erase(u);
+    locked_[u] = 1;
     if (stats) ++stats->ops.erases;
-
     fm_move_with_updates(
-        part, u, [&](NodeId v) { return locked[v] == 0; },
+        part_, u, [&](NodeId v) { return locked_[v] == 0; },
         [&](NodeId v, double delta) {
-          Container& c = part.side(v) == 0 ? side0 : side1;
+          Container& c = side_[part_.side(v)];
           c.update(v, c.gain(v) + delta);
           if (stats) ++stats->ops.updates;
         });
-
-    moved.push_back(u);
-    prefix += immediate;
-    if (prefix > best_prefix + kEps) {
-      best_prefix = prefix;
-      best_count = moved.size();
-    }
-
-    if (config.audit_interval > 0 &&
-        moved.size() % static_cast<std::size_t>(config.audit_interval) == 0) {
-      fm_audit(part, locked, side0, side1, config, stats);
-    }
+    return immediate;
   }
 
-  // Roll back every move beyond the maximum-prefix point.
-  for (std::size_t i = moved.size(); i > best_count; --i) {
-    part.move(moved[i - 1]);
+  bool after_move(std::size_t /*moves*/, bool audit_due, PassStats* stats) {
+    if (audit_due) audit(stats);
+    return true;
   }
-  if (stats) {
-    stats->moves_attempted = moved.size();
-    stats->moves_accepted = best_count;
-    stats->best_prefix_gain = best_prefix;
-  }
-  return best_prefix;
-}
 
-template <typename Container>
-RefineOutcome refine_with(Partition& part, const BalanceConstraint& balance,
-                          const FmConfig& config) {
-  const int max_gain =
-      static_cast<int>(part.graph().max_degree()) + 1;
-  Container side0(part.graph().num_nodes(), max_gain);
-  Container side1(part.graph().num_nodes(), max_gain);
-  FmScratch scratch;
-  RefineOutcome out;
-  for (int pass = 0; pass < config.max_passes; ++pass) {
-    PassStats* stats = nullptr;
-    WallTimer wall;
-    ThreadCpuTimer cpu;
-    if (config.telemetry) {
-      stats = &config.telemetry->begin_pass(part.cut_cost());
+  void undo(const PassMove& m) { part_.move(m.node); }
+
+ private:
+  static int max_gain(const Partition& part) {
+    return static_cast<int>(part.graph().max_degree()) + 1;
+  }
+
+  /// Debug audit (FmConfig::audit_interval): checks every free node's
+  /// container gain against a from-scratch Eqn. 1 recompute, container
+  /// membership against the lock flags, and the incremental cut cost.  The
+  /// FM update rules restate the scratch definition exactly, so any gap
+  /// beyond FP accumulation noise is a bug.
+  void audit(PassStats* stats) const {
+    audit::check_cut(part_, config_.audit_tolerance);
+    audit::DriftTracker drift;
+    const NodeId n = part_.graph().num_nodes();
+    for (NodeId v = 0; v < n; ++v) {
+      const Container& own = side_[part_.side(v)];
+      const Container& other = side_[1 - part_.side(v)];
+      if (locked_[v]) {
+        audit::check_node(!own.contains(v) && !other.contains(v),
+                          "FM: locked node still in a gain container", v);
+        continue;
+      }
+      audit::check_node(own.contains(v) && !other.contains(v),
+                        "FM: free node not in its side's gain container", v);
+      const double scratch = part_.immediate_gain(v);
+      drift.observe(v, own.gain(v), scratch);
+      audit::check_close(own.gain(v), scratch, config_.audit_tolerance,
+                         "FM incremental gain", v);
     }
-    bool interrupted = false;
-    const double gained = fm_pass(part, balance, config, side0, side1,
-                                  scratch, stats, interrupted);
-    ++out.passes;
     if (stats) {
-      stats->cut_after = part.cut_cost();
-      stats->wall_seconds = wall.seconds();
-      stats->cpu_seconds = cpu.seconds();
+      ++stats->audits;
+      if (drift.max_abs > stats->max_gain_drift) {
+        stats->max_gain_drift = drift.max_abs;
+      }
     }
-    if (interrupted) {
-      out.interrupted = true;
-      break;
-    }
-    if (gained <= kEps) break;
   }
-  out.cut_cost = part.cut_cost();
-  return out;
-}
+
+  Partition& part_;
+  const BalanceConstraint& balance_;
+  const FmConfig& config_;
+  Container side_[2];
+  std::vector<std::uint8_t> locked_;
+  const bool unit_sizes_;
+};
 
 }  // namespace
 
 RefineOutcome fm_refine(Partition& part, const BalanceConstraint& balance,
                         const FmConfig& config) {
-  if (config.structure == FmStructure::kBucket) {
-    if (!part.graph().unit_net_costs()) {
-      // The bucket array indexes integer gains; fall back to the tree for
-      // weighted nets — exactly the trade-off the paper discusses in Sec. 4.
-      return refine_with<TreeContainer>(part, balance, config);
-    }
-    return refine_with<BucketContainer>(part, balance, config);
+  // The bucket array indexes integer gains; weighted nets take the heap —
+  // exactly the trade-off the paper discusses in Sec. 4.
+  if (config.structure == FmStructure::kBucket &&
+      part.graph().unit_net_costs()) {
+    return FmPass<BucketContainer>(part, balance, config).refine();
   }
-  return refine_with<TreeContainer>(part, balance, config);
-}
-
-PartitionResult FmPartitioner::run(const Hypergraph& g,
-                                   const BalanceConstraint& balance,
-                                   std::uint64_t seed) {
-  Rng rng(seed);
-  Partition part(g, random_balanced_sides(g, balance, rng));
-  const RefineOutcome outcome = fm_refine(part, balance, config_);
-  PartitionResult result;
-  result.side = part.sides();
-  result.cut_cost = outcome.cut_cost;
-  result.passes = outcome.passes;
-  return result;
+  return FmPass<TreeContainer>(part, balance, config).refine();
 }
 
 }  // namespace prop

@@ -9,17 +9,18 @@
 // A pass virtually moves every node (highest-gain feasible node first,
 // lock after move, classic neighbor updates), then rolls back to the
 // maximum-prefix-gain point; passes repeat until no positive improvement
-// (paper Sec. 2).
+// (paper Sec. 2).  The pass loop is the shared skeleton
+// (partition/pass_engine.h); fm_partitioner.cpp holds only the FM gain
+// policy: the two containers, the Eqn. 1 gains and their delta updates.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "partition/iterative_partitioner.h"
 #include "partition/partition.h"
-#include "partition/partitioner.h"
 #include "runtime/run_context.h"
 #include "telemetry/telemetry.h"
-#include "util/rng.h"
 
 namespace prop {
 
@@ -50,36 +51,14 @@ struct FmConfig {
 RefineOutcome fm_refine(Partition& part, const BalanceConstraint& balance,
                         const FmConfig& config = {});
 
-class FmPartitioner final : public Bipartitioner {
+class FmPartitioner final
+    : public IterativePartitioner<FmPartitioner, FmConfig, fm_refine> {
  public:
-  explicit FmPartitioner(FmConfig config = {}) : config_(config) {}
+  explicit FmPartitioner(FmConfig config = {}) : IterativePartitioner(config) {}
 
   std::string name() const override {
     return config_.structure == FmStructure::kBucket ? "FM-bucket" : "FM-tree";
   }
-
-  bool attach_telemetry(RefineTelemetry* telemetry) noexcept override {
-    config_.telemetry = telemetry;
-    return true;
-  }
-
-  bool attach_context(const RunContext* context) noexcept override {
-    config_.context = context;
-    return true;
-  }
-
-  PartitionResult run(const Hypergraph& g, const BalanceConstraint& balance,
-                      std::uint64_t seed) override;
-
-  std::unique_ptr<Bipartitioner> clone() const override {
-    auto copy = std::make_unique<FmPartitioner>(config_);
-    copy->attach_telemetry(nullptr);
-    copy->attach_context(nullptr);
-    return copy;
-  }
-
- private:
-  FmConfig config_;
 };
 
 }  // namespace prop

@@ -12,6 +12,7 @@ namespace prop {
 
 template class ProbGainCalculator<KWayState>;
 template class PropRefiner<KWayState>;
+template class PassEngine<PropRefiner<KWayState>>;
 
 void PropMoveRules<KWayState>::check_cost(const KWayState& state,
                                           double tol) const {
@@ -35,9 +36,10 @@ KWayPropOutcome kway_prop_refine(const Hypergraph& g,
   KWayState state(g, part, k);
   PropRefiner<KWayState> refiner(state, {window, config.objective}, config);
 
+  const RefineOutcome refined = refiner.refine();
   KWayPropOutcome out;
-  out.passes = refiner.refine();
-  out.interrupted = refiner.interrupted();
+  out.passes = refined.passes;
+  out.interrupted = refined.interrupted;
   if (refiner.drift_gave_up() && config.context) {
     // Last link of the k-way drift chain: keep the rolled-back prefix and
     // stop refining.

@@ -1,7 +1,8 @@
 // Native k-way PROP refinement (paper Sec. 5's k-way direction).
 //
 // The 2-way PROP pass lifted to k parts: PropRefiner<KWayState>
-// (core/prop_refiner.h) — the same engine as the 2-way refiner, with one
+// (core/prop_refiner.h) — the same PROP policy of the shared pass skeleton
+// (partition/pass_engine.h) as the 2-way refiner, with one
 // gain heap per part, k - 1 probabilistic gains per node kept current by
 // per-net deltas, and rollback to the prefix with the best exact objective
 // improvement.  The exact-prefix acceptance makes every pass monotone in
@@ -65,6 +66,7 @@ struct PropMoveRules<KWayState> {
 };
 
 extern template class PropRefiner<KWayState>;
+extern template class PassEngine<PropRefiner<KWayState>>;
 
 /// Refines `part` (part ids in [0, k)) in place toward the configured
 /// objective, keeping every part inside `window`.  Parts already outside

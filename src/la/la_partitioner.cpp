@@ -1,243 +1,205 @@
 #include "la/la_partitioner.h"
 
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
+#include <compare>
+#include <cstdint>
 #include <vector>
 
 #include "datastruct/gain_heap.h"
 #include "datastruct/gain_vector.h"
 #include "la/la_gains.h"
-#include "partition/initial.h"
+#include "partition/pass_engine.h"
 #include "telemetry/invariant_audit.h"
-#include "util/rng.h"
-#include "util/timer.h"
 
 namespace prop {
 namespace {
 
-constexpr double kEps = 1e-9;
+using SideHeaps = GainHeap<GainVector>;
 
-using SideHeap = GainHeap<GainVector>;
-
-/// Debug audit (LaConfig::audit_interval): gain vectors are integral, so
-/// the incrementally-maintained vectors, the heap keys and the calculator's
-/// binding-number counts must all match a from-scratch recompute exactly.
-void la_audit(const Partition& part, const LaGainCalculator& calc,
-              const std::vector<GainVector>& gains, const SideHeap& side0,
-              const SideHeap& side1, const LaConfig& config,
-              PassStats* stats) {
-  audit::check_cut(part, config.audit_tolerance);
-  calc.audit_consistency();
-  audit::DriftTracker drift;
-  const NodeId n = part.graph().num_nodes();
-  for (NodeId v = 0; v < n; ++v) {
-    const SideHeap& own = part.side(v) == 0 ? side0 : side1;
-    const SideHeap& other = part.side(v) == 0 ? side1 : side0;
-    if (!calc.is_free(v)) {
-      audit::check_node(!side0.contains(v) && !side1.contains(v),
-                        "LA: locked node still in a gain heap", v);
-      continue;
-    }
-    audit::check_node(own.contains(v) && !other.contains(v),
-                      "LA: free node not in its side's gain heap", v);
-    audit::check_node(own.key(v) == gains[v],
-                      "LA: heap key out of sync with gains[]", v);
-    const GainVector scratch = calc.gain(v);
-    for (int level = 1; level <= scratch.levels(); ++level) {
-      drift.observe(v, gains[v].at(level), scratch.at(level));
-    }
-    audit::check_node(gains[v] == scratch,
-                      "LA: incremental gain vector != scratch recompute", v);
-  }
-  if (stats) {
-    ++stats->audits;
-    if (drift.max_abs > stats->max_gain_drift) {
-      stats->max_gain_drift = drift.max_abs;
-    }
-  }
-}
-
-/// One LA-k pass.  Returns the accepted prefix improvement; sets
-/// `interrupted` when a deadline/cancellation cut the pass short (the
-/// rollback to the best prefix still runs, so the partition stays valid).
-double la_pass(Partition& part, const BalanceConstraint& balance,
-               const LaConfig& config, LaGainCalculator& calc,
-               SideHeap& side0, SideHeap& side1, PassStats* stats,
-               bool& interrupted) {
-  const Hypergraph& g = part.graph();
-  const NodeId n = g.num_nodes();
-
-  calc.reset();
-  side0.clear();
-  side1.clear();
-  std::vector<GainVector> gains(n);
-  for (NodeId u = 0; u < n; ++u) {
-    gains[u] = calc.gain(u);
-    (part.side(u) == 0 ? side0 : side1).insert(u, gains[u]);
-  }
-  if (stats) stats->ops.inserts += n;
-
-  // Scratch for per-move delta accumulation.
-  std::vector<GainVector> delta(n);
-  std::vector<std::uint32_t> touched(n, 0);
-  std::uint32_t stamp = 0;
-  std::vector<NodeId> affected;
-
-  std::vector<NodeId> moved;
-  moved.reserve(n);
-  double prefix = 0.0;
-  double best_prefix = 0.0;
-  std::size_t best_count = 0;
-
-  // With unit node sizes feasibility is uniform per side, so it is checked
-  // once instead of searching the heap for a feasible node.
-  const bool unit_sizes = g.unit_node_sizes();
-  const auto best_feasible = [&](SideHeap& heap, int side) {
-    if (heap.empty()) return SideHeap::kNull;
-    if (unit_sizes) {
-      if (!balance.move_feasible(part.side_size(0), side, 1)) {
-        return SideHeap::kNull;
-      }
-      return heap.max();
-    }
-    return heap.max_if([&](SideHeap::Handle h) {
-      return balance.move_feasible(part.side_size(0), side, g.node_size(h));
-    });
+/// The LA-k gain policy of the pass skeleton (partition/pass_engine.h):
+/// one gain heap per side keyed by the lookahead gain vector, kept current
+/// by per-net before/after contribution deltas.  Owns every per-pass
+/// vector, so passes after the first allocate nothing.
+class LaPass : public PassEngine<LaPass> {
+ public:
+  struct Move {
+    NodeId node = kInvalidNode;
+    NodeId from = 0;
   };
 
-  while (true) {
-    if (config.context && config.context->refine_should_stop()) {
-      interrupted = true;
-      break;
-    }
-    const auto h0 = best_feasible(side0, 0);
-    const auto h1 = best_feasible(side1, 1);
-    if (h0 == SideHeap::kNull && h1 == SideHeap::kNull) break;
+  LaPass(Partition& part, const BalanceConstraint& balance,
+         const LaConfig& config)
+      : PassEngine(part.graph().num_nodes()),
+        part_(part),
+        balance_(balance),
+        config_(config),
+        calc_(part, config.lookahead),
+        heaps_(part.graph().num_nodes(), 2),
+        gains_(part.graph().num_nodes()),
+        delta_(part.graph().num_nodes()),
+        touched_(part.graph().num_nodes(), 0),
+        unit_sizes_(part.graph().unit_node_sizes()) {
+    affected_.reserve(part.graph().num_nodes());
+  }
 
-    NodeId u;
-    if (h0 == SideHeap::kNull) {
-      u = h1;
-    } else if (h1 == SideHeap::kNull) {
-      u = h0;
-    } else if (side0.key(h0) != side1.key(h1)) {
-      u = side0.key(h0) > side1.key(h1) ? h0 : h1;
+  const LaConfig& config() const noexcept { return config_; }
+  NodeId parts() const noexcept { return 2; }
+  std::int64_t part_size(NodeId p) const noexcept {
+    return part_.part_size(p);
+  }
+  double cost() const noexcept { return part_.cut_cost(); }
+
+  void load(PassStats* stats) {
+    const NodeId n = part_.graph().num_nodes();
+    calc_.reset();
+    heaps_.clear();
+    for (NodeId u = 0; u < n; ++u) {
+      gains_[u] = calc_.gain(u);
+      heaps_.insert(u, gains_[u], part_.side(u));
+    }
+    if (stats) stats->ops.inserts += n;
+    std::fill(touched_.begin(), touched_.end(), 0);
+    stamp_ = 0;
+  }
+
+  /// The best-ranked node of side p that may move.  With unit node sizes
+  /// feasibility is uniform per side, so it is checked once instead of
+  /// searching the heap for a feasible node.
+  Move best_move(NodeId p) {
+    if (heaps_.empty(p)) return {};
+    const int side = static_cast<int>(p);
+    SideHeaps::Handle h;
+    if (unit_sizes_) {
+      if (!balance_.move_feasible(part_.side_size(0), side, 1)) return {};
+      h = heaps_.max(p);
     } else {
-      u = part.side_size(0) >= part.side_size(1) ? h0 : h1;
+      const Hypergraph& g = part_.graph();
+      h = heaps_.max_if(
+          [&](SideHeaps::Handle v) {
+            return balance_.move_feasible(part_.side_size(0), side,
+                                          g.node_size(v));
+          },
+          p);
+      if (h == SideHeaps::kNull) return {};
     }
+    return {h, p};
+  }
 
-    const int from = part.side(u);
-    const double immediate = part.immediate_gain(u);
-    (from == 0 ? side0 : side1).erase(u);
+  int compare(const Move& a, const Move& b) const noexcept {
+    const std::strong_ordering order =
+        heaps_.key(a.node) <=> heaps_.key(b.node);
+    return order > 0 ? 1 : (order < 0 ? -1 : 0);
+  }
+
+  double apply(const Move& m, PassStats* stats) {
+    const Hypergraph& g = part_.graph();
+    const NodeId u = m.node;
+    const int from = static_cast<int>(m.from);
+    const double immediate = part_.immediate_gain(u);
+    heaps_.erase(u);
     if (stats) ++stats->ops.erases;
 
     // Locking and moving u changes binding numbers only on u's nets; each
     // free pin of those nets gets the before/after delta of that net's O(1)
     // contribution — O(pins of u's nets) per move in total.
-    ++stamp;
-    affected.clear();
+    ++stamp_;
+    affected_.clear();
     const auto visit = [&](double sign) {
       for (const NetId net : g.nets_of(u)) {
         for (const NodeId v : g.pins_of(net)) {
-          if (v == u || !calc.is_free(v)) continue;
-          if (touched[v] != stamp) {
-            touched[v] = stamp;
-            delta[v] = GainVector(gains[v].levels());
-            affected.push_back(v);
+          if (v == u || !calc_.is_free(v)) continue;
+          if (touched_[v] != stamp_) {
+            touched_[v] = stamp_;
+            delta_[v] = GainVector(gains_[v].levels());
+            affected_.push_back(v);
           }
-          GainVector c = calc.net_contribution(net, v);
+          const GainVector c = calc_.net_contribution(net, v);
           if (sign < 0) {
-            delta[v] -= c;
+            delta_[v] -= c;
           } else {
-            delta[v] += c;
+            delta_[v] += c;
           }
         }
       }
     };
     visit(-1.0);
-    calc.lock(u);
-    part.move(u);
-    calc.move_locked(u, from);
+    calc_.lock(u);
+    part_.move(u);
+    calc_.move_locked(u, from);
     visit(+1.0);
 
-    for (const NodeId v : affected) {
-      if (delta[v].is_zero()) continue;  // contribution unchanged
-      gains[v] += delta[v];
-      SideHeap& heap = part.side(v) == 0 ? side0 : side1;
-      if (heap.contains(v)) {
-        heap.update(v, gains[v]);
+    for (const NodeId v : affected_) {
+      if (delta_[v].is_zero()) continue;  // contribution unchanged
+      gains_[v] += delta_[v];
+      if (heaps_.contains(v)) {
+        heaps_.update(v, gains_[v]);
         if (stats) ++stats->ops.updates;
       }
     }
+    return immediate;
+  }
 
-    moved.push_back(u);
-    prefix += immediate;
-    if (prefix > best_prefix + kEps) {
-      best_prefix = prefix;
-      best_count = moved.size();
+  bool after_move(std::size_t /*moves*/, bool audit_due, PassStats* stats) {
+    if (audit_due) audit(stats);
+    return true;
+  }
+
+  void undo(const PassMove& m) { part_.move(m.node); }
+
+ private:
+  /// Debug audit (LaConfig::audit_interval): gain vectors are integral, so
+  /// the incrementally-maintained vectors, the heap keys and the
+  /// calculator's binding-number counts must all match a from-scratch
+  /// recompute exactly.
+  void audit(PassStats* stats) const {
+    audit::check_cut(part_, config_.audit_tolerance);
+    calc_.audit_consistency();
+    audit::DriftTracker drift;
+    const NodeId n = part_.graph().num_nodes();
+    for (NodeId v = 0; v < n; ++v) {
+      if (!calc_.is_free(v)) {
+        audit::check_node(!heaps_.contains(v),
+                          "LA: locked node still in a gain heap", v);
+        continue;
+      }
+      audit::check_node(heaps_.tree_of(v) == part_.side(v),
+                        "LA: free node not in its side's gain heap", v);
+      audit::check_node(heaps_.key(v) == gains_[v],
+                        "LA: heap key out of sync with gains[]", v);
+      const GainVector scratch = calc_.gain(v);
+      for (int level = 1; level <= scratch.levels(); ++level) {
+        drift.observe(v, gains_[v].at(level), scratch.at(level));
+      }
+      audit::check_node(gains_[v] == scratch,
+                        "LA: incremental gain vector != scratch recompute", v);
     }
-
-    if (config.audit_interval > 0 &&
-        moved.size() % static_cast<std::size_t>(config.audit_interval) == 0) {
-      la_audit(part, calc, gains, side0, side1, config, stats);
+    if (stats) {
+      ++stats->audits;
+      if (drift.max_abs > stats->max_gain_drift) {
+        stats->max_gain_drift = drift.max_abs;
+      }
     }
   }
 
-  for (std::size_t i = moved.size(); i > best_count; --i) {
-    part.move(moved[i - 1]);
-  }
-  if (stats) {
-    stats->moves_attempted = moved.size();
-    stats->moves_accepted = best_count;
-    stats->best_prefix_gain = best_prefix;
-  }
-  return best_prefix;
-}
+  Partition& part_;
+  const BalanceConstraint& balance_;
+  const LaConfig& config_;
+  LaGainCalculator calc_;
+  SideHeaps heaps_;  // one heap per side over one handle space
+  std::vector<GainVector> gains_;
+  // Per-move delta accumulation, stamped by move.
+  std::vector<GainVector> delta_;
+  std::vector<std::uint32_t> touched_;
+  std::uint32_t stamp_ = 0;
+  std::vector<NodeId> affected_;
+  const bool unit_sizes_;
+};
 
 }  // namespace
 
 RefineOutcome la_refine(Partition& part, const BalanceConstraint& balance,
                         const LaConfig& config) {
-  LaGainCalculator calc(part, config.lookahead);
-  SideHeap side0(part.graph().num_nodes());
-  SideHeap side1(part.graph().num_nodes());
-  RefineOutcome out;
-  for (int pass = 0; pass < config.max_passes; ++pass) {
-    PassStats* stats = nullptr;
-    WallTimer wall;
-    ThreadCpuTimer cpu;
-    if (config.telemetry) {
-      stats = &config.telemetry->begin_pass(part.cut_cost());
-    }
-    bool interrupted = false;
-    const double gained =
-        la_pass(part, balance, config, calc, side0, side1, stats, interrupted);
-    ++out.passes;
-    if (stats) {
-      stats->cut_after = part.cut_cost();
-      stats->wall_seconds = wall.seconds();
-      stats->cpu_seconds = cpu.seconds();
-    }
-    if (interrupted) {
-      out.interrupted = true;
-      break;
-    }
-    if (gained <= kEps) break;
-  }
-  out.cut_cost = part.cut_cost();
-  return out;
-}
-
-PartitionResult LaPartitioner::run(const Hypergraph& g,
-                                   const BalanceConstraint& balance,
-                                   std::uint64_t seed) {
-  Rng rng(seed);
-  Partition part(g, random_balanced_sides(g, balance, rng));
-  const RefineOutcome outcome = la_refine(part, balance, config_);
-  PartitionResult result;
-  result.side = part.sides();
-  result.cut_cost = outcome.cut_cost;
-  result.passes = outcome.passes;
-  return result;
+  return LaPass(part, balance, config).refine();
 }
 
 }  // namespace prop

@@ -1,14 +1,16 @@
 // LA-k bipartitioner: FM-style passes selecting by lexicographic lookahead
 // gain vector (paper Sec. 2).  Gain vectors live in a gain heap
 // (datastruct/gain_heap.h), avoiding the Theta(p^k) bucket memory blow-up
-// the paper criticizes.
+// the paper criticizes.  The pass loop is the shared skeleton
+// (partition/pass_engine.h); la_partitioner.cpp holds only the LA-k gain
+// policy: the heaps, the gain vectors and their per-net delta updates.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "partition/iterative_partitioner.h"
 #include "partition/partition.h"
-#include "partition/partitioner.h"
 #include "runtime/run_context.h"
 #include "telemetry/telemetry.h"
 
@@ -39,36 +41,14 @@ struct LaConfig {
 RefineOutcome la_refine(Partition& part, const BalanceConstraint& balance,
                         const LaConfig& config = {});
 
-class LaPartitioner final : public Bipartitioner {
+class LaPartitioner final
+    : public IterativePartitioner<LaPartitioner, LaConfig, la_refine> {
  public:
-  explicit LaPartitioner(LaConfig config = {}) : config_(config) {}
+  explicit LaPartitioner(LaConfig config = {}) : IterativePartitioner(config) {}
 
   std::string name() const override {
     return "LA-" + std::to_string(config_.lookahead);
   }
-
-  bool attach_telemetry(RefineTelemetry* telemetry) noexcept override {
-    config_.telemetry = telemetry;
-    return true;
-  }
-
-  bool attach_context(const RunContext* context) noexcept override {
-    config_.context = context;
-    return true;
-  }
-
-  PartitionResult run(const Hypergraph& g, const BalanceConstraint& balance,
-                      std::uint64_t seed) override;
-
-  std::unique_ptr<Bipartitioner> clone() const override {
-    auto copy = std::make_unique<LaPartitioner>(config_);
-    copy->attach_telemetry(nullptr);
-    copy->attach_context(nullptr);
-    return copy;
-  }
-
- private:
-  LaConfig config_;
 };
 
 }  // namespace prop

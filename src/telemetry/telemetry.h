@@ -1,12 +1,14 @@
 // Refinement telemetry: per-pass trajectory of an FM-family refiner.
 //
-// The pass engines (fm_refine, la_refine, prop_refine) are hot loops; the
-// paper's claims are about their *dynamics* (which nodes move, how deep the
-// speculative pass goes before rollback, how many passes until convergence).
-// A RefineTelemetry pointer in the refiner config opts into recording one
-// PassStats per pass — cut before/after, moves attempted vs. accepted,
-// rollback depth, best-prefix gain, wall/CPU seconds, and gain-container
-// operation counts.  A null pointer (the default) records nothing and adds
+// The pass engines (fm_refine, la_refine, prop_refine, kway_prop_refine)
+// are hot loops; the paper's claims are about their *dynamics* (which nodes
+// move, how deep the speculative pass goes before rollback, how many passes
+// until convergence).  All of them run the one pass skeleton
+// (partition/pass_engine.h).  A RefineTelemetry pointer in the refiner
+// config opts into recording one PassStats per pass — cut before/after,
+// moves attempted vs. accepted, rollback depth, best-prefix gain, wall/CPU
+// seconds (the skeleton fills these), and gain-container operation counts
+// and audit observations (the engine's gain policy adds those).  A null pointer (the default) records nothing and adds
 // no measurable overhead.
 //
 // The multi-run harness (partition/runner.h) aggregates one RunTelemetry

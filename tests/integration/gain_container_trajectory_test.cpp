@@ -12,6 +12,11 @@
 // every free node), PROP at k = 4, ML-PROP (coarse levels have
 // non-unit node sizes, so selection goes through max_if), FM-tree on
 // weighted nets with non-unit node sizes, and LA-3 on non-unit node sizes.
+// Further cases pin the paths those leave out: FM-bucket and LA-2 on unit
+// costs and sizes (the containers' plain-max fast path), FM, LA-3 and PROP
+// with audit sweeps every 32 moves, and one run each of FM, LA-2 and k = 4
+// PROP cut short mid-pass by an injected cancellation (the interrupt and
+// rollback path).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +32,7 @@
 #include "la/la_partitioner.h"
 #include "multilevel/multilevel_driver.h"
 #include "partition/kway_balance.h"
+#include "runtime/run_context.h"
 #include "util/rng.h"
 
 namespace prop {
@@ -158,6 +164,120 @@ TEST(GainContainerTrajectory, La3SizedNodes) {
   EXPECT_EQ(run_trajectory(la, g, balance, 4),
             "03e68a6e26068fab 149/294/2830 88/188/3355 80/34/3429 "
             "80/0/3187");
+}
+
+TEST(GainContainerTrajectory, FmBucketUnitCostsAndSizes) {
+  const Hypergraph g = generate_circuit({"trajfmb", 700, 740, 2500}, 14);
+  ASSERT_TRUE(g.unit_net_costs());
+  ASSERT_TRUE(g.unit_node_sizes());
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  FmPartitioner fm;
+  EXPECT_EQ(run_trajectory(fm, g, balance, 6),
+            "c9ce8f26d48e8a8d 160/319/3111 109/199/3263 92/61/3380 "
+            "87/37/3385 85/41/3400 84/691/3470 84/0/3469");
+}
+
+TEST(GainContainerTrajectory, La2UnitSizes) {
+  const Hypergraph g = generate_circuit({"trajla2", 600, 640, 2100}, 15);
+  ASSERT_TRUE(g.unit_node_sizes());
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  LaPartitioner la(LaConfig{2});
+  EXPECT_EQ(run_trajectory(la, g, balance, 7),
+            "a68a266300645a6a 161/267/2559 124/282/2793 90/85/3013 "
+            "83/137/3143 72/57/3000 71/1/2950 71/0/2950");
+}
+
+/// Runs `algo` with telemetry and returns the trajectory plus, after a
+/// '|', the number of audit sweeps of each pass.
+std::string audited_trajectory(Bipartitioner& algo, const Hypergraph& g,
+                               const BalanceConstraint& balance,
+                               std::uint64_t seed) {
+  RefineTelemetry telemetry;
+  algo.attach_telemetry(&telemetry);
+  const PartitionResult r = algo.run(g, balance, seed);
+  std::string out = trajectory(r.side, telemetry) + " |";
+  for (const PassStats& s : telemetry.passes) {
+    out += " " + std::to_string(s.audits);
+  }
+  return out;
+}
+
+TEST(GainContainerTrajectory, AuditedEveryThirtyTwoMoves) {
+  const Hypergraph g = generate_circuit({"trajaud", 500, 530, 1800}, 16);
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  FmConfig fm_config;
+  fm_config.audit_interval = 32;
+  FmPartitioner fm(fm_config);
+  EXPECT_EQ(audited_trajectory(fm, g, balance, 8),
+            "a8c6c5a8897a5f09 122/217/2056 110/76/2088 107/90/2149 "
+            "99/114/2174 96/65/2195 95/38/2260 92/430/2241 90/2/2301 "
+            "90/0/2252 | 15 15 15 15 15 15 15 15 15");
+  LaConfig la_config;
+  la_config.lookahead = 3;
+  la_config.audit_interval = 32;
+  LaPartitioner la(la_config);
+  EXPECT_EQ(audited_trajectory(la, g, balance, 8),
+            "5b46873e3ffc0761 116/213/2223 103/152/2248 90/97/2511 "
+            "87/48/2518 85/34/2530 85/0/2382 | 15 15 15 15 15 15");
+  PropConfig prop_config;
+  prop_config.audit_interval = 32;
+  PropPartitioner prop_algo(prop_config);
+  // Without resyncs the audits see the stale gains of the Sec. 3.4 update
+  // policy as drift beyond kDriftHardBound, so the drift chain gives up
+  // at the first pass's fourth audit and FM finishes the run.
+  EXPECT_EQ(run_trajectory(prop_algo, g, balance, 8),
+            "c5c486d334e32c85 153/128/4785 94/122/2323 85/61/2368 "
+            "84/2/2388 83/491/2361 83/0/2375");
+}
+
+/// A context whose injector cancels the run at the `poll`-th move-loop
+/// poll.
+struct CancelAt {
+  CancelToken cancel;
+  FaultInjector injector;
+  RunContext context;
+
+  explicit CancelAt(int poll)
+      : injector("cancel-mid-pass@" + std::to_string(poll)) {
+    context.cancel = &cancel;
+    context.injector = &injector;
+  }
+};
+
+TEST(GainContainerTrajectory, CancelledMidPass) {
+  const Hypergraph g = generate_circuit({"trajcan", 500, 530, 1800}, 17);
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  {
+    CancelAt at(650);
+    FmPartitioner fm;
+    fm.attach_context(&at.context);
+    EXPECT_EQ(run_trajectory(fm, g, balance, 9),
+              "61a021587a154bbf 124/234/2142 113/138/1018");
+  }
+  {
+    CancelAt at(650);
+    LaPartitioner la(LaConfig{2});
+    la.attach_context(&at.context);
+    EXPECT_EQ(run_trajectory(la, g, balance, 9),
+              "019b3afc5c145ba9 114/219/1972 104/137/1075");
+  }
+  {
+    CancelAt at(650);
+    const NodeId k = 4;
+    const KWayBalanceWindow window =
+        kway_part_window(g.total_node_size(), k, 0.1, kway_max_node_size(g));
+    Rng rng(9);
+    std::vector<NodeId> part(g.num_nodes());
+    for (auto& p : part) p = static_cast<NodeId>(rng.bounded(k));
+    RefineTelemetry telemetry;
+    KWayPropConfig config;
+    config.telemetry = &telemetry;
+    config.context = &at.context;
+    const KWayPropOutcome out = kway_prop_refine(g, part, k, window, config);
+    EXPECT_TRUE(out.interrupted);
+    EXPECT_EQ(trajectory(part, telemetry),
+              "9abb26fff61d165a 263/320/4476 193/172/3237");
+  }
 }
 
 }  // namespace

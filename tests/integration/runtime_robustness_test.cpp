@@ -143,6 +143,27 @@ TEST(RuntimeRobustness, PropDriftBlowupFallsBackToFm) {
   EXPECT_TRUE(saw_fallback);
 }
 
+TEST(RuntimeRobustness, FmFallbackKeepsAuditing) {
+  const Hypergraph g = testing::small_random_circuit(35);
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  PropConfig config;
+  config.audit_interval = 16;
+  PropPartitioner prop_algo(config);
+  RefineTelemetry telemetry;
+  prop_algo.attach_telemetry(&telemetry);
+  // Every PROP move reports a drift blowup, so the first pass gives up
+  // after kMaxEmergencyResyncs + 1 moves and every later pass is FM.
+  Harness h("prop-drift");
+  const RunOutcome outcome = run_checked(prop_algo, g, balance, 13, &h.context);
+  ASSERT_TRUE(outcome.has_result());
+  ASSERT_GE(telemetry.passes.size(), 2u);
+  EXPECT_EQ(telemetry.passes[0].moves_attempted,
+            std::uint64_t{PropRefiner<Partition>::kMaxEmergencyResyncs} + 1);
+  for (std::size_t i = 1; i < telemetry.passes.size(); ++i) {
+    EXPECT_GT(telemetry.passes[i].audits, 0u) << "FM pass " << i;
+  }
+}
+
 TEST(RuntimeRobustness, PerRunFailureIsolation) {
   const Hypergraph g = testing::small_random_circuit(36);
   const BalanceConstraint balance = BalanceConstraint::forty_five(g);
