@@ -50,13 +50,15 @@ if [[ $kway_status -ne 0 ]]; then exit "$kway_status"; fi
 
 # Thread-count determinism of the pass engines: the partition file and the
 # timing-free stats document must be byte-identical at --threads 1 and 4
-# for PROP, FM (bucket and heap), LA-2, LA-3, the V-cycle and k-way PROP.
+# for PROP, FM (bucket and heap), LA-2, LA-3, the V-cycle and k-way PROP
+# under both objectives.
 echo "== thread-count byte identity (release) =="
 ident_dir=build/thread_identity
 mkdir -p "$ident_dir"
 ident_case=0
 for args in "--algo prop" "--algo fm" "--algo fm-tree" "--algo la2" \
-    "--algo la3" "--multilevel" "--algo prop --k 4"; do
+    "--algo la3" "--multilevel" "--algo prop --k 4" \
+    "--algo prop --k 4 --kway-objective cut"; do
   ident_case=$((ident_case + 1))
   for threads in 1 4; do
     # shellcheck disable=SC2086  # $args is a flag list
@@ -97,16 +99,16 @@ echo "== budgeted-run smoke (asan+ubsan) =="
 ./build-asan/tools/prop_cli --circuit t4 --algo eig1 --runs 1 \
   --inject=lanczos-stall > /dev/null
 
-# The FM and LA policies of the pass skeleton next to PROP: FM on the
-# bucket list and on the gain heap (double keys), LA-2 and LA-3 (gain-vector
-# keys), on a bundled circuit and on a small .hgr with weighted nets and
-# nodes, where selection goes through max_if.
+# Every policy of the pass skeleton: FM on the bucket list and on the gain
+# heap (double keys), LA-2 and LA-3 (gain-vector keys) and PROP (its cost
+# floor and one-sweep deltas), on a bundled circuit and on a small .hgr
+# with weighted nets and nodes, where selection goes through max_if.
 echo "== gain-heap engines smoke (asan+ubsan) =="
 weighted_hgr=build-asan/weighted_smoke.hgr
 awk 'BEGIN { n = 300; m = 360; print m, n, 11
   for (i = 0; i < m; i++) print i % 3 + 1, i % n + 1, (i * 7 + 3) % n + 1, (i * 13 + 5) % n + 1
   for (i = 0; i < n; i++) print i % 3 + 1 }' > "$weighted_hgr"
-for algo in fm fm-tree la2 la3; do
+for algo in fm fm-tree la2 la3 prop; do
   ./build-asan/tools/prop_cli --circuit t4 --algo "$algo" --runs 2 > /dev/null
   ./build-asan/tools/prop_cli --hgr "$weighted_hgr" --algo "$algo" --runs 2 \
     > /dev/null

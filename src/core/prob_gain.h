@@ -177,10 +177,11 @@ class ProbGainCalculator {
   /// The scratch/shadow engines compute the products with one pin pass and
   /// divide each pin's probability back out — the legacy cost model — and
   /// emit every pair, zero contributions included.  Summing a pair's
-  /// emissions over v's nets equals gain(v, to); the PROP pass uses
-  /// before/after deltas of this per net touched by a move, and the
-  /// net-major bootstrap sweep accumulates it over all nets.  Non-const:
-  /// the per-part preamble lands in a reused workspace.
+  /// emissions over v's nets equals gain(v, to); the net-major bootstrap
+  /// sweep accumulates it over all nets, and the PROP pass takes
+  /// before/after deltas of it per net touched by a move
+  /// (for_each_net_gain_change).  Non-const: the per-part preamble lands
+  /// in a reused workspace.
   template <typename Emit>
   void for_each_net_gain(NetId n, Emit&& emit) {
     // The per-part view lives on the stack when k is a compile-time 2, so
@@ -191,6 +192,59 @@ class ProbGainCalculator {
       emit_net_gains<true>(n, parts, emit);
     } else {
       emit_net_gains<false>(n, parts, emit);
+    }
+  }
+
+  /// One part's view of a net, as the per-net gain emission reads it.
+  struct NetPart {
+    double prod;           // product of nonzero free-pin p
+    double removal;        // prod, or 0 if blocked / a free pin has p == 0
+    std::uint32_t zeros;   // free pins with p == 0
+    bool blocked;          // the part holds a locked pin
+    bool present;          // the part holds any pin of the net
+  };
+
+  /// Locked pins of net n in part p.
+  std::uint32_t locked_pins(NetId n, NodeId p) const noexcept {
+    return locked_pins_[slot(n, p)];
+  }
+
+  /// Net n's k per-part views into parts[0 .. k), from the same source as
+  /// for_each_net_gain: the cache under kCached, one pin pass under
+  /// kScratch/kShadow.
+  void net_view(NetId n, NetPart* parts) const {
+    if (engine_ == GainEngine::kCached) {
+      fill_view<true>(n, parts);
+    } else {
+      fill_view<false>(n, parts);
+    }
+  }
+
+  /// for_each_net_gain before and after one change of the state, in one
+  /// pin pass: `before` holds net n's net_view() taken before the change,
+  /// and the after views are read now.  For each free pin v and target b in
+  /// for_each_net_gain's order, calls emit_before(v, b, g) with the old
+  /// contribution and then emit_after(v, b, g) with the new one.  Every
+  /// value is bit-identical to what for_each_net_gain emits in that state.
+  /// The change must only add locked pins (a lock, then moves of locked
+  /// nodes): then a pair frozen before is frozen after, so the after
+  /// emissions are a subset of the before ones and each follows its
+  /// pair's before emission.
+  template <typename Before, typename After>
+  void for_each_net_gain_change(NetId n, const NetPart* before,
+                                Before&& emit_before, After&& emit_after) {
+    NetPart two_before[2];
+    NetPart two_after[2];
+    if constexpr (TwoWayState<State>) {
+      two_before[0] = before[0];
+      two_before[1] = before[1];
+      before = two_before;
+    }
+    NetPart* after = TwoWayState<State> ? two_after : net_parts_.data();
+    if (engine_ == GainEngine::kCached) {
+      emit_net_gain_changes<true>(n, before, after, emit_before, emit_after);
+    } else {
+      emit_net_gain_changes<false>(n, before, after, emit_before, emit_after);
     }
   }
 
@@ -244,26 +298,13 @@ class ProbGainCalculator {
   void sum_cached_gains(NodeId u, NodeId count, TargetOf target_of,
                         double* out) const;
 
-  /// for_each_net_gain's per-part view of one net.
-  struct NetPart {
-    double prod;           // product of nonzero free-pin p
-    double removal;        // prod, or 0 if blocked / a free pin has p == 0
-    std::uint32_t zeros;   // free pins with p == 0
-    bool blocked;          // the part holds a locked pin
-    bool present;          // the part holds any pin of the net
-  };
-
-  /// for_each_net_gain's body over a k-entry per-part workspace.  The
-  /// cached engine reads the part products from the cache, excludes a
-  /// pin's own factor with its cached reciprocal and skips frozen pairs;
-  /// the scratch form multiplies the products out of the pins, divides and
-  /// emits every pair.
-  template <bool kCachedEngine, typename Emit>
-  void emit_net_gains(NetId n, NetPart* parts, Emit& emit) const {
+  /// Fills net n's k per-part views.  The cached engine reads the part
+  /// products from the cache; the scratch form multiplies them out of the
+  /// pins.
+  template <bool kCachedEngine>
+  void fill_view(NetId n, NetPart* parts) const {
     const State& state = *state_;
     const NodeId k = state.k();
-    const auto pins = state.graph().pins_of(n);
-    const double c = state.graph().net_cost(n);
     for (NodeId p = 0; p < k; ++p) {
       NetPart& part = parts[p];
       part.blocked = part_locked(n, p);
@@ -272,7 +313,7 @@ class ProbGainCalculator {
       part.zeros = kCachedEngine ? zero_free_[slot(n, p)] : 0;
     }
     if (!kCachedEngine) {
-      for (const NodeId v : pins) {
+      for (const NodeId v : state.graph().pins_of(n)) {
         if (locked_[v]) continue;
         NetPart& part = parts[state.part(v)];
         if (p_[v] == 0.0) {
@@ -286,34 +327,72 @@ class ProbGainCalculator {
       NetPart& part = parts[p];
       part.removal = (part.blocked || part.zeros > 0) ? 0.0 : part.prod;
     }
+  }
 
-    for (const NodeId v : pins) {
+  /// Product of p over the free pins of v's part `own` other than v; 0 once
+  /// the part holds a locked pin or another zero-probability pin.  The
+  /// cached engine excludes v's factor with its cached reciprocal, the
+  /// scratch form divides it back out.
+  template <bool kCachedEngine>
+  double excluding(const NetPart& own, NodeId v) const noexcept {
+    if (own.blocked) return 0.0;
+    if (p_[v] == 0.0) return own.zeros > 1 ? 0.0 : own.prod;
+    if (own.zeros > 0) return 0.0;
+    return kCachedEngine ? own.prod * recip_[v] : own.prod / p_[v];
+  }
+
+  /// g_n(v -> b) from c(n), v's excluding() product and b's view.
+  static double pair_gain(double c, double prod_a_excl,
+                          const NetPart& target) noexcept {
+    // Eqn. 3 (k = 2: the net is cut).
+    if (target.present) return c * (prod_a_excl - target.removal);
+    // Eqn. 4: no pin in b yet (k = 2: the net lies on v's side).
+    return -c * (1.0 - prod_a_excl);
+  }
+
+  /// for_each_net_gain's body over a k-entry per-part workspace.  The
+  /// cached engine skips frozen pairs (locked pins in both v's part and the
+  /// target); the scratch form emits every pair.
+  template <bool kCachedEngine, typename Emit>
+  void emit_net_gains(NetId n, NetPart* parts, Emit& emit) const {
+    fill_view<kCachedEngine>(n, parts);
+    const State& state = *state_;
+    const NodeId k = state.k();
+    const double c = state.graph().net_cost(n);
+    for (const NodeId v : state.graph().pins_of(n)) {
       if (locked_[v]) continue;
       const NodeId a = state.part(v);
       const NetPart& own = parts[a];
-      // Product of p over the other free pins of v's part; 0 once the part
-      // holds a locked pin or another zero-probability pin.
-      double prod_a_excl;
-      if (own.blocked) {
-        prod_a_excl = 0.0;
-      } else if (p_[v] == 0.0) {
-        prod_a_excl = own.zeros > 1 ? 0.0 : own.prod;
-      } else if (own.zeros > 0) {
-        prod_a_excl = 0.0;
-      } else {
-        prod_a_excl = kCachedEngine ? own.prod * recip_[v] : own.prod / p_[v];
-      }
+      const double prod_a_excl = excluding<kCachedEngine>(own, v);
       for (NodeId j = 0; j + 1 < k; ++j) {
         const NodeId b = j < a ? j : j + 1;
-        const NetPart& target = parts[b];
-        if (kCachedEngine && own.blocked && target.blocked) continue;  // frozen
-        if (target.present) {
-          // Eqn. 3 (k = 2: the net is cut).
-          emit(v, b, c * (prod_a_excl - target.removal));
-        } else {
-          // Eqn. 4: no pin in b yet (k = 2: the net lies on v's side).
-          emit(v, b, -c * (1.0 - prod_a_excl));
-        }
+        if (kCachedEngine && own.blocked && parts[b].blocked) continue;
+        emit(v, b, pair_gain(c, prod_a_excl, parts[b]));
+      }
+    }
+  }
+
+  /// for_each_net_gain_change's body: `after` is the workspace the current
+  /// views land in.
+  template <bool kCachedEngine, typename Before, typename After>
+  void emit_net_gain_changes(NetId n, const NetPart* before, NetPart* after,
+                             Before& emit_before, After& emit_after) const {
+    fill_view<kCachedEngine>(n, after);
+    const State& state = *state_;
+    const NodeId k = state.k();
+    const double c = state.graph().net_cost(n);
+    for (const NodeId v : state.graph().pins_of(n)) {
+      if (locked_[v]) continue;
+      const NodeId a = state.part(v);
+      const double was = excluding<kCachedEngine>(before[a], v);
+      const double now = excluding<kCachedEngine>(after[a], v);
+      for (NodeId j = 0; j + 1 < k; ++j) {
+        const NodeId b = j < a ? j : j + 1;
+        // Frozen before implies frozen after: locks only accumulate.
+        if (kCachedEngine && before[a].blocked && before[b].blocked) continue;
+        emit_before(v, b, pair_gain(c, was, before[b]));
+        if (kCachedEngine && after[a].blocked && after[b].blocked) continue;
+        emit_after(v, b, pair_gain(c, now, after[b]));
       }
     }
   }

@@ -34,6 +34,11 @@ struct PropMoveRules<Partition> {
     return part.immediate_gain(u);
   }
   double cost(const Partition& part) const noexcept { return part.cut_cost(); }
+  /// Cost-floor step of a net of cost c whose pass-locked pins now span
+  /// `locked_parts` parts: locked pins on both sides keep it cut.
+  static double floor_step(NodeId locked_parts, double c) noexcept {
+    return locked_parts == 2 ? c : 0.0;
+  }
   void move(Partition& part, NodeId u, NodeId /*to*/) const { part.move(u); }
   void check_cost(const Partition& part, double tol) const {
     audit::check_cut(part, tol);

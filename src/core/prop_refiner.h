@@ -18,6 +18,9 @@
 //     gain deltas to every free pin of its nets, then recomputes the top
 //     top_update_width nodes of the source and target heaps from scratch
 //     ("a few, say five, of the top ranked nodes", Sec. 3.4);
+//   * keeps the pass's cost floor, the cost of the nets whose locked pins
+//     already span parts, which no later move can lower; the skeleton ends
+//     the pass once that floor rules out a better prefix;
 //   * step 10: rolls back to the maximum prefix of exact objective gains,
 //     so every accepted pass is a true improvement (the skeleton's part).
 // At k = 2 every rule reduces to the paper's bisection.  What differs per
@@ -25,9 +28,10 @@
 // how a move is applied.
 //
 // Drift chain (the after_move hook): audits (PropConfig::audit_interval)
-// measure how far the incremental gains are from a scratch recompute.
-// Drift beyond kDriftHardBound, or an injected prop-drift fault, triggers
-// an emergency resync; after kMaxEmergencyResyncs of those the engine
+// measure how far the cached products are from a scratch recompute, and
+// right after a resync how far the gains are.  Divergence beyond
+// kDriftHardBound, or an injected prop-drift fault, triggers an emergency
+// resync; after kMaxEmergencyResyncs of those the engine
 // rolls the pass back and reports drift_gave_up(), and the caller ends the
 // chain (FM at k = 2, a plain stop at k > 2).
 #pragma once
@@ -50,7 +54,9 @@ namespace prop {
 
 /// A caller's move rules: feasibility of moving a node of `size` from part
 /// `from` to part `to`, the exact objective gain the prefix is judged by,
-/// the objective cost, applying a move, and auditing the incremental cost.
+/// the objective cost, the cost-floor step of a net whose locked pins
+/// reach one more part, applying a move, and auditing the incremental
+/// cost.
 /// Specialized once per State, next to its PropRefiner instantiation.
 template <typename State>
 struct PropMoveRules;
@@ -63,9 +69,9 @@ class PropRefiner : public PassEngine<PropRefiner<State>> {
   /// treated as equal (selection ties) or as unchanged (delta application,
   /// top-node refreshes).
   static constexpr double kGainEps = 1e-12;
-  /// Audited gain drift above this bound triggers an emergency resync.
-  /// Cache drift between epoch renormalizations is ~1e-14, so only real
-  /// divergence reaches it.
+  /// Audited cache divergence above this bound triggers an emergency
+  /// resync.  Cache drift between epoch renormalizations is ~1e-14, so
+  /// only real divergence reaches it.
   static constexpr double kDriftHardBound = 1e-3;
   /// Emergency resyncs one refiner performs before giving up on
   /// probabilistic gains.
@@ -88,6 +94,7 @@ class PropRefiner : public PassEngine<PropRefiner<State>> {
  private:
   friend class PassEngine<PropRefiner>;
   using GainHeaps = GainHeap<double>;
+  using NetPart = typename ProbGainCalculator<State>::NetPart;
 
   struct Move {
     NodeId node = kInvalidNode;
@@ -116,6 +123,7 @@ class PropRefiner : public PassEngine<PropRefiner<State>> {
   bool after_move(std::size_t moves, bool audit_due, PassStats* stats);
   void undo(const PassMove& m) { rules_.move(*state_, m.node, m.from); }
   bool gave_up() const noexcept { return drift_gave_up_; }
+  double cost_floor() const noexcept { return floor_; }
 
   NodeId targets() const noexcept { return state_->k() - 1; }
   /// Target part of v's j-th gain slot (slots skip v's own part).
@@ -132,6 +140,10 @@ class PropRefiner : public PassEngine<PropRefiner<State>> {
     return to < state_->part(v) ? to : to - 1;
   }
   double best_gain(NodeId v) const noexcept;
+  /// delta_ index of v's gain toward `to` (v visited by the current move).
+  std::size_t delta_index(NodeId v, NodeId to) const noexcept {
+    return std::size_t{visit_index_[v]} * targets() + slot_of(v, to);
+  }
 
   void bootstrap_probabilities();
   void load_heaps(PassStats* stats);
@@ -162,6 +174,19 @@ class PropRefiner : public PassEngine<PropRefiner<State>> {
   std::vector<std::pair<double, NodeId>> sort_scratch_;
   std::uint32_t stamp_ = 0;
   const bool unit_sizes_;
+  // One move's before views of the mover's nets (k per net), and its after
+  // contributions as (delta_ index, value), replayed once every net is done.
+  std::vector<NetPart> views_;
+  struct Replay {
+    std::size_t index;
+    double gain;
+  };
+  std::vector<Replay> replay_;
+
+  // The cost floor: the objective of the nets whose locked pins span
+  // locked_parts_[net] parts, grown by PropMoveRules::floor_step.
+  std::vector<NodeId> locked_parts_;
+  double floor_ = 0.0;
 
   bool drift_gave_up_ = false;
   int emergency_resyncs_ = 0;
@@ -186,11 +211,22 @@ PropRefiner<State>::PropRefiner(State& state, PropMoveRules<State> rules,
       fresh_(targets(), 0.0),
       visit_stamp_(state.graph().num_nodes(), 0),
       visit_index_(state.graph().num_nodes(), 0),
-      unit_sizes_(state.graph().unit_node_sizes()) {
-  const NodeId n = state.graph().num_nodes();
+      unit_sizes_(state.graph().unit_node_sizes()),
+      views_(state.graph().max_degree() * state.k()),
+      locked_parts_(state.graph().num_nets(), 0) {
+  const Hypergraph& g = state.graph();
+  const NodeId n = g.num_nodes();
   to_refresh_.reserve(n);
   delta_.reserve(gains_.size());
   sort_scratch_.reserve(n);
+  // A move replays at most (k - 1) contributions per pin of its nets.
+  std::size_t reach = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    std::size_t pins = 0;
+    for (const NetId net : g.nets_of(u)) pins += g.net_size(net);
+    reach = std::max(reach, pins);
+  }
+  replay_.reserve(reach * targets());
 }
 
 template <typename State>
@@ -389,21 +425,37 @@ void PropRefiner<State>::resync_gains(PassStats* stats) {
 /// Debug audit (PropConfig::audit_interval): asserts the exact incremental
 /// invariants — locked-pin counts, cached products vs the scratch oracle,
 /// probability bounds, heap membership and heap keys vs gains_, incremental
-/// objective cost — and records the gap between gains_ and a from-scratch
-/// recompute as telemetry drift.  The gap is hard-asserted only when
-/// `expect_scratch_match` is set (right after a resync): in between, gains_
-/// is stale w.r.t. later probability updates of neighboring nodes *by
-/// design* (the paper's Sec. 3.4 update policy).  Returns the max absolute
-/// drift observed (feeds the degradation chain).
+/// objective cost, the cost floor against a recount from the locked-pin
+/// table and against the cost — and records the gap between gains_ and a
+/// from-scratch recompute as telemetry drift.  The gap is hard-asserted
+/// only when `expect_scratch_match` is set (right after a resync): in
+/// between, gains_ is stale w.r.t. later probability updates of
+/// neighboring nodes *by design* (the paper's Sec. 3.4 update policy), so
+/// it is no sign of divergence.  Returns the divergence that feeds the
+/// degradation chain: the cached products' drift, and after a resync also
+/// the gap.
 template <typename State>
 double PropRefiner<State>::audit(PassStats* stats,
                                  bool expect_scratch_match) const {
   const State& state = *state_;
   const PropConfig& config = *config_;
+  const Hypergraph& g = state.graph();
   rules_.check_cost(state, config.audit_tolerance);
   calc_.audit_consistency();
+  double floor = 0.0;
+  for (NetId net = 0; net < g.num_nets(); ++net) {
+    NodeId locked_parts = 0;
+    for (NodeId p = 0; p < state.k(); ++p) {
+      if (calc_.locked_pins(net, p) == 0) continue;
+      floor += rules_.floor_step(++locked_parts, g.net_cost(net));
+    }
+  }
+  audit::check(std::abs(floor_ - floor) <= config.audit_tolerance,
+               "PROP: incremental cost floor != recomputed");
+  audit::check(floor_ <= cost() + config.audit_tolerance,
+               "PROP: cost floor above the cost");
   audit::DriftTracker drift;
-  const NodeId n = state.graph().num_nodes();
+  const NodeId n = g.num_nodes();
   for (NodeId v = 0; v < n; ++v) {
     const NodeId own = state.part(v);
     if (!calc_.is_free(v)) {
@@ -431,7 +483,9 @@ double PropRefiner<State>::audit(PassStats* stats,
       stats->max_gain_drift = drift.max_abs;
     }
   }
-  return drift.max_abs;
+  const double divergence = calc_.max_product_drift();
+  return expect_scratch_match ? std::max(divergence, drift.max_abs)
+                              : divergence;
 }
 
 /// Pass start (steps 3-5 of Fig. 2): fresh probabilities and gains, then
@@ -447,6 +501,8 @@ void PropRefiner<State>::load(PassStats* stats) {
     stamp_ = 0;
   }
   calc_.reset();
+  std::fill(locked_parts_.begin(), locked_parts_.end(), 0);
+  floor_ = 0.0;
   bootstrap_probabilities();
   load_heaps(stats);
 }
@@ -465,25 +521,41 @@ double PropRefiner<State>::apply(const Move& m, PassStats* stats) {
   // Step 8 / Sec. 3.4: after moving u, the removal probabilities of u's
   // nets change, so every free pin of those nets gets the before/after
   // delta of that net's gain contributions — O(pins of u's nets * (k-1))
-  // per move.
-  ++stamp_;
-  to_refresh_.clear();
-  delta_.clear();
-  const auto visit = [&](double sign) {
-    for (const NetId net : g.nets_of(u)) {
-      calc_.for_each_net_gain(net, [&](NodeId v, NodeId vto, double gv) {
-        if (v == u) return;
-        if (visit_stamp_[v] != stamp_) first_visit(v);
-        delta_[std::size_t{visit_index_[v]} * targets() + slot_of(v, vto)] +=
-            sign * gv;
-      });
-    }
-  };
-  visit(-1.0);
+  // per move.  The before views of u's nets are taken first; then one pin
+  // pass per net yields both contributions.  Before values go into delta_
+  // at once and after values are replayed once every net is done, so each
+  // delta_ slot sums exactly as two full sweeps would: all before values
+  // in net and pin order, then all after values in the same order.
+  const auto nets = g.nets_of(u);
+  const NodeId k = state.k();
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    calc_.net_view(nets[i], &views_[i * k]);
+  }
   calc_.lock(u);
   rules_.move(state, u, m.to);
   calc_.move_locked(u, m.from);
-  visit(+1.0);
+
+  ++stamp_;
+  to_refresh_.clear();
+  delta_.clear();
+  replay_.clear();
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const NetId net = nets[i];
+    // u is the net's first locked pin in m.to: one more locked part.
+    if (calc_.locked_pins(net, m.to) == 1) {
+      floor_ += rules_.floor_step(++locked_parts_[net], g.net_cost(net));
+    }
+    calc_.for_each_net_gain_change(
+        net, &views_[i * k],
+        [&](NodeId v, NodeId vto, double gv) {
+          if (visit_stamp_[v] != stamp_) first_visit(v);
+          delta_[delta_index(v, vto)] -= gv;
+        },
+        [&](NodeId v, NodeId vto, double gv) {
+          replay_.push_back({delta_index(v, vto), gv});
+        });
+  }
+  for (const Replay& r : replay_) delta_[r.index] += r.gain;
   apply_deltas(stats);
 
   if (config_->top_update_width > 0) {
@@ -515,18 +587,20 @@ bool PropRefiner<State>::after_move(std::size_t moves, bool audit_due,
       moves % static_cast<std::size_t>(config.resync_interval) == 0;
   double observed_drift = 0.0;
   if (audit_due) {
-    // Records the accumulated drift since the last resync (or pass start).
+    // Records the staleness of gains_ since the last resync (or pass start)
+    // as telemetry; only the cache's divergence comes back.
     observed_drift = audit(stats, /*expect_scratch_match=*/false);
   }
   if (resync_due) {
     resync_gains(stats);
     if (audit_due) {
       // Post-resync, gains[] must equal the scratch recompute exactly.
-      audit(stats, /*expect_scratch_match=*/true);
+      observed_drift =
+          std::max(observed_drift, audit(stats, /*expect_scratch_match=*/true));
     }
   }
 
-  // Degradation chain: drift beyond the hard bound (or an injected
+  // Degradation chain: divergence beyond the hard bound (or an injected
   // prop-drift fault) means the incremental probabilistic bookkeeping is
   // diverging.  First line of defense is an emergency resync — the same
   // sweep as resync_interval, just demand-driven; past

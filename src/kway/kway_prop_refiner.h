@@ -61,6 +61,13 @@ struct PropMoveRules<KWayState> {
     return objective == KWayObjective::kCut ? state.cut_cost()
                                             : state.connectivity_cost();
   }
+  /// Cost-floor step of a net of cost c whose pass-locked pins now span
+  /// `locked_parts` parts: the net stays cut from the second part on, and
+  /// each further part adds one more unit of connectivity.
+  double floor_step(NodeId locked_parts, double c) const noexcept {
+    if (objective == KWayObjective::kCut) return locked_parts == 2 ? c : 0.0;
+    return locked_parts >= 2 ? c : 0.0;
+  }
   void move(KWayState& state, NodeId u, NodeId to) const { state.move(u, to); }
   void check_cost(const KWayState& state, double tol) const;
 };

@@ -32,11 +32,21 @@
 //   void undo(const PassMove&)     moves a node back during rollback
 //   bool gave_up() const           optional sticky "stop refining" (the
 //                                  base's default never gives up)
+//   double cost_floor() const      optional lower bound on cost() over
+//                                  every continuation of the current pass
+//                                  (the base's default is no bound)
+//
+// Cut-off at the cost floor.  A later prefix becomes the pass's best only
+// if it lowers the cost below cost_at_load - best_prefix - kEps.  Once the
+// policy's floor reaches that value no continuation can, so the pass ends
+// there: rollback, best prefix and the partition are exactly those of the
+// full pass, and only moves_attempted and the work behind it shrink.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
@@ -60,6 +70,21 @@ class PassEngine {
   /// A pass must improve the exact objective by more than this to count.
   static constexpr double kEps = 1e-9;
 
+  /// delta of the cut-off test floor >= cost_at_load - best_prefix + delta,
+  /// written -kEps + eta.  Let S be the running prefix sum, C0 the cost at
+  /// load and F the floor, each computed with rounding errors e_S, e_C0 and
+  /// e_F against their exact values.  Exactly, every later prefix has
+  /// S <= C0 - F, so once the test holds
+  ///   S <= best_prefix + kEps - eta + (e_S - e_C0 + e_F),
+  /// and S > best_prefix + kEps, the condition for a new best, needs the
+  /// three errors to exceed eta.  With integer net costs (every .hgr input
+  /// and every contraction of one) the three values are sums of integers
+  /// below 2^53 and exact, so any eta in (0, 1 - kEps) is safe.  With
+  /// fractional costs a sum of m terms of magnitude at most W is off by at
+  /// most about m * W * 2^-53, 1.1e-8 for m = W = 10^4, so eta = 1e-7
+  /// covers the three errors of such a pass with a margin of three.
+  static constexpr double kFloorDelta = -kEps + 1e-7;
+
   /// One pass: move until no feasible move is left, the run is interrupted
   /// or the policy ends the pass, then keep the best prefix.  Returns the
   /// accepted improvement.
@@ -77,13 +102,21 @@ class PassEngine {
   /// The hook's default, for policies that never give up.
   bool gave_up() const noexcept { return false; }
 
+  /// The hook's default, for policies without a cost floor: no bound.
+  double cost_floor() const noexcept {
+    return -std::numeric_limits<double>::infinity();
+  }
+
  protected:
   /// Reserves the move log for `num_nodes` moves, so no pass allocates.
-  explicit PassEngine(NodeId num_nodes) { moved_.reserve(num_nodes); }
+  explicit PassEngine(NodeId num_nodes) : num_nodes_(num_nodes) {
+    moved_.reserve(num_nodes);
+  }
 
  private:
   Policy& policy() noexcept { return static_cast<Policy&>(*this); }
 
+  NodeId num_nodes_;
   std::vector<PassMove> moved_;
   bool interrupted_ = false;
 };
@@ -97,6 +130,7 @@ double PassEngine<Policy>::run_pass(PassStats* stats) {
       static_cast<std::size_t>(std::max(config.audit_interval, 0));
 
   policy.load(stats);
+  const double cost_at_load = policy.cost();
   moved_.clear();
   double prefix = 0.0;
   double best_prefix = 0.0;
@@ -132,6 +166,10 @@ double PassEngine<Policy>::run_pass(PassStats* stats) {
     const bool audit_due =
         audit_interval > 0 && moved_.size() % audit_interval == 0;
     if (!policy.after_move(moved_.size(), audit_due, stats)) break;
+    if (policy.cost_floor() >= cost_at_load - best_prefix + kFloorDelta) {
+      if (stats) stats->floor_skipped = num_nodes_ - moved_.size();
+      break;
+    }
   }
 
   // Keep only the maximum-prefix moves, undoing newest first.

@@ -57,6 +57,12 @@ std::uint64_t RefineTelemetry::total_resyncs() const noexcept {
   return total;
 }
 
+std::uint64_t RefineTelemetry::total_floor_skipped() const noexcept {
+  std::uint64_t total = 0;
+  for (const PassStats& s : passes) total += s.floor_skipped;
+  return total;
+}
+
 double RefineTelemetry::max_gain_drift() const noexcept {
   double best = 0.0;
   for (const PassStats& s : passes) {
@@ -92,6 +98,9 @@ void write_json(std::ostream& out, const PassStats& s, bool include_timing) {
       << ",\"erases\":" << s.ops.erases << ",\"updates\":" << s.ops.updates
       << "}";
   out << ",\"refresh_skips\":" << s.refresh_skips;
+  // Only passes the cost floor ended carry the key, so the documents of
+  // engines without a floor keep their schema.
+  if (s.floor_skipped > 0) out << ",\"floor_skipped\":" << s.floor_skipped;
   out << ",\"audits\":" << s.audits;
   out << ",\"resyncs\":" << s.resyncs;
   out << ",\"max_gain_drift\":";

@@ -55,6 +55,10 @@ struct PassStats {
   /// within tolerance, skipping the heap re-key (PROP only).
   std::uint64_t refresh_skips = 0;
 
+  /// Free nodes left unmoved because the pass reached its cost floor, 0
+  /// when it did not (PROP only; partition/pass_engine.h).
+  std::uint64_t floor_skipped = 0;
+
   // Invariant-audit observations (zero unless auditing was enabled).
   std::uint64_t audits = 0;        ///< audit sweeps performed this pass
   std::uint64_t resyncs = 0;       ///< node gains resynced from scratch
@@ -82,6 +86,7 @@ struct RefineTelemetry {
   std::uint64_t max_rollback_depth() const noexcept;
   std::uint64_t total_audits() const noexcept;
   std::uint64_t total_resyncs() const noexcept;
+  std::uint64_t total_floor_skipped() const noexcept;
   double max_gain_drift() const noexcept;
   GainContainerOps total_ops() const noexcept;
 };

@@ -16,7 +16,9 @@
 // costs and sizes (the containers' plain-max fast path), FM, LA-3 and PROP
 // with audit sweeps every 32 moves, and one run each of FM, LA-2 and k = 4
 // PROP cut short mid-pass by an injected cancellation (the interrupt and
-// rollback path).
+// rollback path).  PROP at k = 2 on fractional net costs and at k = 4
+// under the cut objective pin the cost-floor cut-off of the pass skeleton
+// where its slack and its per-objective step matter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -95,15 +97,15 @@ TEST(GainContainerTrajectory, PropTwoWay) {
   const BalanceConstraint balance = BalanceConstraint::forty_five(g);
   PropPartitioner plain;
   EXPECT_EQ(run_trajectory(plain, g, balance, 5),
-            "7b19e7d18231f319 170/324/7787 132/190/8486 131/20/9650 "
-            "124/231/9979 108/57/10279 106/4/10754 106/0/10814");
+            "7b19e7d18231f319 170/324/7033 132/190/7994 131/20/9650 "
+            "124/231/9947 108/57/10073 106/4/10749 106/0/10814");
   PropConfig audited;
   audited.audit_interval = 64;
   audited.resync_interval = 64;
   PropPartitioner resynced(audited);
   EXPECT_EQ(run_trajectory(resynced, g, balance, 5),
-            "030d439d5c02fdd4 190/256/9725 149/119/3856 146/72/3788 "
-            "146/0/3896");
+            "e4a53f2e06e69dc4 150/335/10671 131/108/12591 129/782/13990 "
+            "128/8/14148 128/0/14109");
 }
 
 TEST(GainContainerTrajectory, PropFourWay) {
@@ -119,8 +121,59 @@ TEST(GainContainerTrajectory, PropFourWay) {
   config.telemetry = &telemetry;
   kway_prop_refine(g, part, k, window, config);
   EXPECT_EQ(trajectory(part, telemetry),
-            "b03cb14a3e688884 379/616/7368 331/360/8979 292/118/6896 "
-            "286/28/6612 282/7/9502 282/0/8774");
+            "b03cb14a3e688884 379/616/6991 331/360/8075 292/118/6896 "
+            "286/28/6599 282/7/7601 282/0/7704");
+}
+
+/// `base` with seeded fractional net costs `step * (1 + j)`, j < 15, and
+/// unit node sizes.
+Hypergraph fractional_costs(const Hypergraph& base, std::uint64_t seed,
+                            double step) {
+  Rng rng(seed);
+  HypergraphBuilder b(base.num_nodes());
+  for (NetId net = 0; net < base.num_nets(); ++net) {
+    b.add_net(base.pins_of(net),
+              step * static_cast<double>(1 + rng.bounded(15)));
+  }
+  return std::move(b).build();
+}
+
+TEST(GainContainerTrajectory, PropTwoWayFractionalNetCosts) {
+  const Hypergraph base = generate_circuit({"trajfrac", 800, 840, 2800}, 18);
+  const BalanceConstraint balance = BalanceConstraint::forty_five(base);
+  // Quarter steps sum exactly in any order; tenths carry rounding error
+  // into the cut, the exact-gain prefix and the pass's cut floor.
+  PropPartitioner quarters;
+  EXPECT_EQ(run_trajectory(quarters, fractional_costs(base, 19, 0.25),
+                           balance, 10),
+            "af8e86b52438a49b 305/374/6520 270.75/152/7729 262.25/60/8028 "
+            "262.25/0/8186");
+  PropPartitioner tenths;
+  EXPECT_EQ(run_trajectory(tenths, fractional_costs(base, 19, 0.1), balance,
+                           10),
+            "83dade779a68dbc5 118.00000000000016/392/6374 "
+            "88.600000000000179/174/7999 80.100000000000207/75/9065 "
+            "79.300000000000281/11/9930 78.600000000000406/24/10042 "
+            "77.900000000000531/788/10626 77.600000000000549/798/10721 "
+            "77.60000000000062/0/10626");
+}
+
+TEST(GainContainerTrajectory, PropFourWayCutObjective) {
+  const Hypergraph g = generate_circuit({"traj4cut", 900, 940, 3200}, 20);
+  const NodeId k = 4;
+  const KWayBalanceWindow window =
+      kway_part_window(g.total_node_size(), k, 0.1, kway_max_node_size(g));
+  Rng rng(11);
+  std::vector<NodeId> part(g.num_nodes());
+  for (auto& p : part) p = static_cast<NodeId>(rng.bounded(k));
+  RefineTelemetry telemetry;
+  KWayPropConfig config;
+  config.objective = KWayObjective::kCut;
+  config.telemetry = &telemetry;
+  kway_prop_refine(g, part, k, window, config);
+  EXPECT_EQ(trajectory(part, telemetry),
+            "333e31a580e235be 311/634/7817 251/271/7898 250/163/9622 "
+            "226/147/9658 219/59/9901 218/3/9834 218/0/8841");
 }
 
 TEST(GainContainerTrajectory, MultilevelPropSizedCoarseLevels) {
@@ -138,7 +191,7 @@ TEST(GainContainerTrajectory, MultilevelPropSizedCoarseLevels) {
             "334/16/2928 334/0/2786 391/53/2589 359/27/2810 334/5/2824 "
             "334/0/2948 366/52/2561 350/16/2669 349/5/2837 349/0/2691 "
             "395/51/2655 343/36/2847 334/16/2807 334/0/2948 334/0/2330 "
-            "304/10/8077 304/0/8386 233/50/16173 233/0/19414 189/92/36241 "
+            "304/10/7818 304/0/8386 233/50/15122 233/0/19414 189/92/31600 "
             "189/0/40841");
 }
 
@@ -222,12 +275,21 @@ TEST(GainContainerTrajectory, AuditedEveryThirtyTwoMoves) {
   PropConfig prop_config;
   prop_config.audit_interval = 32;
   PropPartitioner prop_algo(prop_config);
-  // Without resyncs the audits see the stale gains of the Sec. 3.4 update
-  // policy as drift beyond kDriftHardBound, so the drift chain gives up
-  // at the first pass's fourth audit and FM finishes the run.
-  EXPECT_EQ(run_trajectory(prop_algo, g, balance, 8),
-            "c5c486d334e32c85 153/128/4785 94/122/2323 85/61/2368 "
-            "84/2/2388 83/491/2361 83/0/2375");
+  EXPECT_EQ(audited_trajectory(prop_algo, g, balance, 8),
+            "75aac5d17cfcc6c4 82/239/5181 66/42/6528 66/0/7586 | 10 14 15");
+}
+
+TEST(GainContainerTrajectory, AuditedPropMatchesUnaudited) {
+  // The audits only read: the stale gains of the Sec. 3.4 update policy
+  // are telemetry, not drift, so the run keeps every PROP move.
+  const Hypergraph g = generate_circuit({"trajaud", 500, 530, 1800}, 16);
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  PropPartitioner plain;
+  PropConfig config;
+  config.audit_interval = 32;
+  PropPartitioner audited(config);
+  EXPECT_EQ(run_trajectory(audited, g, balance, 8),
+            run_trajectory(plain, g, balance, 8));
 }
 
 /// A context whose injector cancels the run at the `poll`-th move-loop
@@ -276,7 +338,7 @@ TEST(GainContainerTrajectory, CancelledMidPass) {
     const KWayPropOutcome out = kway_prop_refine(g, part, k, window, config);
     EXPECT_TRUE(out.interrupted);
     EXPECT_EQ(trajectory(part, telemetry),
-              "9abb26fff61d165a 263/320/4476 193/172/3237");
+              "3a3ad0a83aee2f81 263/320/4376 191/212/3667");
   }
 }
 

@@ -25,6 +25,7 @@ TEST(RefineTelemetry, BeginPassAssignsIndicesAndAggregates) {
   a.audits = 2;
   a.resyncs = 7;
   a.max_gain_drift = 0.25;
+  a.floor_skipped = 12;
   a.ops = {10, 20, 30};
   PassStats& b = t.begin_pass(80.0);
   b.moves_attempted = 40;
@@ -41,6 +42,7 @@ TEST(RefineTelemetry, BeginPassAssignsIndicesAndAggregates) {
   EXPECT_EQ(t.max_rollback_depth(), 20u);
   EXPECT_EQ(t.total_audits(), 2u);
   EXPECT_EQ(t.total_resyncs(), 7u);
+  EXPECT_EQ(t.total_floor_skipped(), 12u);
   EXPECT_DOUBLE_EQ(t.max_gain_drift(), 0.5);
   EXPECT_EQ(t.total_ops().inserts, 11u);
   EXPECT_EQ(t.total_ops().erases, 22u);
@@ -64,6 +66,16 @@ TEST(RefineTelemetry, JsonContainsEveryField) {
         "\"max_gain_drift\":0"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing: " << json;
   }
+}
+
+TEST(RefineTelemetry, JsonCarriesFloorSkippedOnlyWhenSet) {
+  RefineTelemetry t;
+  t.begin_pass(12.0);
+  EXPECT_EQ(to_json(t).find("floor_skipped"), std::string::npos);
+  t.passes[0].floor_skipped = 7;
+  EXPECT_NE(to_json(t).find("\"refresh_skips\":0,\"floor_skipped\":7,"),
+            std::string::npos)
+      << to_json(t);
 }
 
 /// Refine-level wiring: a telemetry pointer in the config records one
@@ -91,6 +103,7 @@ void expect_refine_records(Refine refine, Config config) {
     EXPECT_GE(s.cpu_seconds, 0.0);
     EXPECT_GT(s.ops.inserts, 0u);
     EXPECT_EQ(s.ops.erases, s.moves_attempted);
+    EXPECT_LE(s.moves_attempted + s.floor_skipped, g.num_nodes());
   }
   // Convergence: the final pass accepted nothing.
   EXPECT_EQ(telemetry.passes.back().moves_accepted, 0u);
@@ -123,6 +136,30 @@ TEST(RefineTelemetry, PropPassTrajectoryIsConsistent) {
         return prop_refine(p, b, c);
       },
       PropConfig{});
+}
+
+TEST(RefineTelemetry, PropPassesEndAtTheirCostFloor) {
+  // A pass that ends at its floor leaves its remaining free nodes unmoved;
+  // every node starts the pass free, so the two counts cover all of them.
+  const Hypergraph g = testing::small_random_circuit(21);
+  const BalanceConstraint balance = BalanceConstraint::fifty_fifty(g);
+  Rng rng(3);
+  Partition part(g, random_balanced_sides(g, balance, rng));
+  RefineTelemetry telemetry;
+  PropConfig config;
+  config.telemetry = &telemetry;
+  prop_refine(part, balance, config);
+  ASSERT_GT(telemetry.total_floor_skipped(), 0u);
+  for (const PassStats& s : telemetry.passes) {
+    if (s.floor_skipped > 0) {
+      EXPECT_EQ(s.moves_attempted + s.floor_skipped, g.num_nodes());
+    }
+  }
+  FmConfig fm;
+  fm.telemetry = &telemetry;
+  telemetry.clear();
+  fm_refine(part, balance, fm);
+  EXPECT_EQ(telemetry.total_floor_skipped(), 0u);
 }
 
 TEST(RefineTelemetry, DisabledPointerRecordsNothingAndMatchesResult) {
