@@ -75,6 +75,21 @@ for args in "--algo prop" "--algo fm" "--algo fm-tree" "--algo la2" \
   done
 done
 
+# A failed write of --out or --stats-json must fail the run: exit 1 with
+# "error: cannot write FILE", never "wrote FILE" and exit 0.
+echo "== failed-write exit codes (release) =="
+bad_outs=(build/no_such_dir/x.part)
+if [[ -e /dev/full ]]; then bad_outs+=(/dev/full); fi
+for bad_out in "${bad_outs[@]}"; do
+  for flag in --out --stats-json; do
+    if ./build/tools/prop_cli --circuit t4 --runs 1 "$flag" "$bad_out" \
+        > /dev/null 2>&1; then
+      echo "prop_cli $flag $bad_out exited 0"
+      exit 1
+    fi
+  done
+done
+
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== skipped sanitizer pass (--fast) =="
   exit 0
@@ -92,6 +107,12 @@ ctest --preset asan-ubsan -j "$jobs"
 echo "== fault-injection suite (asan+ubsan) =="
 ctest --preset asan-ubsan -j "$jobs" \
   -R 'RuntimeRobustness|FaultInjector|Deadline|CancelToken|Status'
+
+# The .hgr reader is the untrusted-input surface of prop_cli and of
+# prop_serve's inline payloads: its recorded corpus and the seeded mutation
+# fuzz (HgrIoFuzz) get their own sanitizer pass too.
+echo "== hgr reader corpus + fuzz (asan+ubsan) =="
+ctest --preset asan-ubsan -j "$jobs" -R 'HgrIo'
 
 echo "== budgeted-run smoke (asan+ubsan) =="
 ./build-asan/tools/prop_cli --circuit t4 --algo prop --runs 3 \

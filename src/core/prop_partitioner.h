@@ -30,6 +30,11 @@ struct PropMoveRules<Partition> {
     return balance->move_feasible(part.side_size(0), static_cast<int>(from),
                                   size);
   }
+  std::int64_t max_move_size(const Partition& part, NodeId from,
+                             NodeId /*to*/) const noexcept {
+    return from == 0 ? part.side_size(0) - balance->lo()
+                     : balance->hi() - part.side_size(0);
+  }
   double gain(const Partition& part, NodeId u, NodeId /*to*/) const noexcept {
     return part.immediate_gain(u);
   }

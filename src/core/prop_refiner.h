@@ -39,6 +39,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,7 +55,9 @@
 namespace prop {
 
 /// A caller's move rules: feasibility of moving a node of `size` from part
-/// `from` to part `to`, the exact objective gain the prefix is judged by,
+/// `from` to part `to`, the largest size feasibility can admit for such a
+/// move (max_move_size, an upper bound that every feasible move fits), the
+/// exact objective gain the prefix is judged by,
 /// the objective cost, the cost-floor step of a net whose locked pins
 /// reach one more part, applying a move, and auditing the incremental
 /// cost.
@@ -111,7 +115,7 @@ class PropRefiner : public PassEngine<PropRefiner<State>> {
   }
   double cost() const { return rules_.cost(*state_); }
   void load(PassStats* stats);
-  Move best_move(NodeId p) const;
+  Move best_move(NodeId p);
   /// Step 6's key order.  Gains within kGainEps tie (an exact comparison
   /// of probability products never ties), and the skeleton gives a tie to
   /// the heavier source part, mirroring FM.
@@ -148,6 +152,7 @@ class PropRefiner : public PassEngine<PropRefiner<State>> {
   void bootstrap_probabilities();
   void load_heaps(PassStats* stats);
   Move feasible_move(NodeId u, std::int64_t size) const;
+  std::int64_t smallest_free_size(NodeId p);
   void first_visit(NodeId v);
   void apply_deltas(PassStats* stats);
   void reposition(NodeId v, PassStats* stats);
@@ -174,6 +179,12 @@ class PropRefiner : public PassEngine<PropRefiner<State>> {
   std::vector<std::pair<double, NodeId>> sort_scratch_;
   std::uint32_t stamp_ = 0;
   const bool unit_sizes_;
+  // Non-unit sizes only: node ids by (size, id), and per part a cursor at
+  // the part's smallest free node in that order.  A pass only ever removes
+  // free nodes from a part, so the cursors move forward; load() rewinds
+  // them.
+  std::vector<NodeId> by_size_;
+  std::vector<std::size_t> size_cursor_;
   // One move's before views of the mover's nets (k per net), and its after
   // contributions as (delta_ index, value), replayed once every net is done.
   std::vector<NetPart> views_;
@@ -227,6 +238,15 @@ PropRefiner<State>::PropRefiner(State& state, PropMoveRules<State> rules,
     reach = std::max(reach, pins);
   }
   replay_.reserve(reach * targets());
+  if (!unit_sizes_) {
+    by_size_.resize(n);
+    std::iota(by_size_.begin(), by_size_.end(), NodeId{0});
+    std::stable_sort(by_size_.begin(), by_size_.end(),
+                     [&](NodeId a, NodeId b) {
+                       return g.node_size(a) < g.node_size(b);
+                     });
+    size_cursor_.assign(state.k(), 0);
+  }
 }
 
 template <typename State>
@@ -319,14 +339,30 @@ typename PropRefiner<State>::Move PropRefiner<State>::feasible_move(
   return m;
 }
 
+/// Size of the smallest free node of part p, whose heap must be nonempty.
+/// Amortized O(1): each part's cursor passes each node once per pass.
+template <typename State>
+std::int64_t PropRefiner<State>::smallest_free_size(NodeId p) {
+  std::size_t& i = size_cursor_[p];
+  while (heaps_.tree_of(by_size_[i]) != p) ++i;
+  return state_->graph().node_size(by_size_[i]);
+}
+
 /// Step 6 within one part: the highest-ranked node of p's heap that has a
 /// feasible target.  With unit node sizes feasibility depends only on
-/// (from, to), so the heap's max decides for all of p.
+/// (from, to), so the heap's max decides for all of p.  Otherwise, when
+/// even p's smallest free node exceeds every target's max_move_size, no
+/// node of p is feasible, and the heap walk, which would test every one of
+/// them, is skipped: the same answer, exactly.
 template <typename State>
-typename PropRefiner<State>::Move PropRefiner<State>::best_move(
-    NodeId p) const {
+typename PropRefiner<State>::Move PropRefiner<State>::best_move(NodeId p) {
   if (heaps_.empty(p)) return {};
   if (unit_sizes_) return feasible_move(heaps_.max(p), 1);
+  std::int64_t bound = std::numeric_limits<std::int64_t>::min();
+  for (NodeId j = 0; j < targets(); ++j) {
+    bound = std::max(bound, rules_.max_move_size(*state_, p, target(p, j)));
+  }
+  if (smallest_free_size(p) > bound) return {};
   const Hypergraph& g = state_->graph();
   const GainHeaps::Handle h = heaps_.max_if(
       [&](GainHeaps::Handle v) {
@@ -501,6 +537,7 @@ void PropRefiner<State>::load(PassStats* stats) {
     stamp_ = 0;
   }
   calc_.reset();
+  std::fill(size_cursor_.begin(), size_cursor_.end(), 0);
   std::fill(locked_parts_.begin(), locked_parts_.end(), 0);
   floor_ = 0.0;
   bootstrap_probabilities();

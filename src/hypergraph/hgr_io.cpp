@@ -1,8 +1,12 @@
 #include "hypergraph/hgr_io.h"
 
+#include <algorithm>
+#include <charconv>
+#include <climits>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "hypergraph/builder.h"
@@ -40,6 +44,120 @@ class LineReader {
   std::uint64_t bytes_ = 0;
 };
 
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+/// One cursor over the numbers of a line, with the token rules of
+/// operator>> in the "C" locale (DESIGN.md §4l has the full list):
+///   * whitespace is any isspace character (" \t\v\f\r");
+///   * tokens need no separator: a number ends at the first character
+///     that cannot continue it, and the next read starts there, so "1+2"
+///     is two pins and "12abc" is pin 12 followed by junk;
+///   * a failed read leaves the cursor where that scan stopped, so
+///     at_end() after it tells a clean end of line (only whitespace, or
+///     a lone sign or overflowing digits at the very end) from junk.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// Reads an integer: an optional '+' or '-', then decimal digits.
+  /// False when there is no number, with v unchanged, or when it
+  /// overflows, with v = LLONG_MIN / LLONG_MAX and the cursor past all
+  /// its digits.
+  bool read(long long& v) {
+    skip_space();
+    if (p_ == end_) return false;
+    const bool negative = *p_ == '-';
+    const char* digits = p_ + (negative || *p_ == '+');
+    if (digits == end_ || !is_digit(*digits)) {
+      p_ = digits;
+      return false;
+    }
+    // from_chars takes a '-' but no '+'.
+    const auto [ptr, ec] = std::from_chars(negative ? p_ : digits, end_, v);
+    p_ = ptr;
+    if (ec == std::errc::result_out_of_range) {
+      v = negative ? LLONG_MIN : LLONG_MAX;
+      return false;
+    }
+    return true;
+  }
+
+  /// Reads a real: an optional sign, digits with at most one '.', then an
+  /// optional exponent ('e' or 'E' after a digit, an optional sign,
+  /// digits).  The whole scanned text must convert: "1e", "." and a lone
+  /// sign fail, and so does a value beyond the range of double, including
+  /// one that underflows to zero.  No inf, nan or hex form is scanned.
+  bool read(double& v) {
+    skip_space();
+    if (p_ == end_) return false;
+    const char* first = p_ + (*p_ == '+');
+    const char* q = p_ + (*p_ == '+' || *p_ == '-');
+    bool mantissa = false;
+    bool point = false;
+    bool exponent = false;
+    for (; q != end_; ++q) {
+      if (is_digit(*q)) {
+        mantissa = true;
+      } else if (*q == '.' && !point && !exponent) {
+        point = true;
+      } else if ((*q == 'e' || *q == 'E') && mantissa && !exponent) {
+        exponent = true;
+        if (q + 1 != end_ && (q[1] == '+' || q[1] == '-')) ++q;
+      } else {
+        break;
+      }
+    }
+    p_ = q;
+    const auto [ptr, ec] = std::from_chars(first, q, v);
+    return ec == std::errc() && ptr == q;
+  }
+
+  /// Is there a further token (operator>>(std::string) succeeding)?
+  bool more() {
+    skip_space();
+    return p_ != end_;
+  }
+
+  bool at_end() const noexcept { return p_ == end_; }
+
+ private:
+  void skip_space() noexcept {
+    while (p_ != end_ && (*p_ == ' ' || (*p_ >= '\t' && *p_ <= '\r'))) ++p_;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+/// The header "E N [fmt]".  fmt is an int: a value beyond int's range is
+/// clamped to it and reads as an unknown code when it ends the line.
+struct Header {
+  long long nets = 0;
+  long long nodes = 0;
+  int fmt = 0;
+};
+
+Header parse_header(std::string_view line) {
+  Tokens tokens(line);
+  Header h;
+  if (!tokens.read(h.nets) || !tokens.read(h.nodes) || h.nets < 0 ||
+      h.nodes < 0) {
+    throw std::runtime_error("hgr: malformed header");
+  }
+  long long code = 0;
+  const bool read = tokens.read(code);
+  h.fmt = static_cast<int>(std::clamp<long long>(code, INT_MIN, INT_MAX));
+  if (read && h.fmt == code) {
+    if (tokens.more()) {
+      throw std::runtime_error("hgr: malformed header (trailing junk)");
+    }
+  } else if (!tokens.at_end()) {
+    throw std::runtime_error("hgr: malformed header");
+  }
+  return h;
+}
+
 }  // namespace
 
 Hypergraph read_hgr(std::istream& in, std::string name,
@@ -49,22 +167,7 @@ Hypergraph read_hgr(std::istream& in, std::string name,
   if (!reader.next(line)) {
     throw std::runtime_error("hgr: empty input");
   }
-  std::istringstream header(line);
-  long long num_nets = 0;
-  long long num_nodes = 0;
-  int fmt = 0;
-  header >> num_nets >> num_nodes;
-  if (header.fail() || num_nets < 0 || num_nodes < 0) {
-    throw std::runtime_error("hgr: malformed header");
-  }
-  if (header >> fmt) {  // optional fmt code
-    std::string junk;
-    if (header >> junk) {
-      throw std::runtime_error("hgr: malformed header (trailing junk)");
-    }
-  } else if (!header.eof()) {
-    throw std::runtime_error("hgr: malformed header");
-  }
+  const auto [num_nets, num_nodes, fmt] = parse_header(line);
   const bool weighted_nets = (fmt == 1 || fmt == 11);
   const bool weighted_nodes = (fmt == 10 || fmt == 11);
   if (fmt != 0 && !weighted_nets && !weighted_nodes) {
@@ -98,17 +201,14 @@ Hypergraph read_hgr(std::istream& in, std::string name,
     if (!reader.next(line)) {
       throw std::runtime_error("hgr: truncated net list");
     }
-    std::istringstream net_line(line);
+    Tokens tokens(line);
     double cost = 1.0;
-    if (weighted_nets) {
-      net_line >> cost;
-      if (net_line.fail() || cost <= 0.0) {
-        throw std::runtime_error("hgr: bad net weight");
-      }
+    if (weighted_nets && (!tokens.read(cost) || cost <= 0.0)) {
+      throw std::runtime_error("hgr: bad net weight");
     }
     pins.clear();
     long long pin = 0;
-    while (net_line >> pin) {
+    while (tokens.read(pin)) {
       if (pin < 1 || pin > num_nodes) {
         throw std::runtime_error("hgr: pin id out of range");
       }
@@ -118,7 +218,7 @@ Hypergraph read_hgr(std::istream& in, std::string name,
       }
       pins.push_back(static_cast<NodeId>(pin - 1));
     }
-    if (!net_line.eof()) {
+    if (!tokens.at_end()) {
       throw std::runtime_error("hgr: junk token in net line");
     }
     if (pins.empty()) {
@@ -127,23 +227,24 @@ Hypergraph read_hgr(std::istream& in, std::string name,
     b.add_net(pins, cost);
   }
   if (weighted_nodes) {
+    // Hypergraph::total_node_size() must fit its int64.
+    long long total_size = 0;
     for (long long u = 0; u < num_nodes; ++u) {
       if (!reader.next(line)) {
         throw std::runtime_error("hgr: truncated node weights");
       }
-      // Stream-parse like the net lines so malformed or overflowing values
-      // surface as a uniform "hgr: ..." diagnostic (failbit covers both)
-      // and trailing garbage is rejected instead of silently ignored.
-      std::istringstream weight_line(line);
+      Tokens tokens(line);
       long long w = 0;
-      weight_line >> w;
-      if (weight_line.fail() || w <= 0) {
+      if (!tokens.read(w) || w <= 0) {
         throw std::runtime_error("hgr: bad node weight");
       }
-      std::string junk;
-      if (weight_line >> junk) {
+      if (tokens.more()) {
         throw std::runtime_error("hgr: junk token after node weight");
       }
+      if (w > LLONG_MAX - total_size) {
+        throw std::runtime_error("hgr: total node weight exceeds 64 bits");
+      }
+      total_size += w;
       b.set_node_size(static_cast<NodeId>(u), w);
     }
   }
@@ -156,6 +257,24 @@ Hypergraph read_hgr_file(const std::string& path) {
   return read_hgr(in, path);
 }
 
+namespace {
+
+/// A net cost as the stream's default %g form when that reads back as the
+/// same double, else with enough digits that it does: costs round-trip
+/// exactly, and every cost that already did is written as before.
+void write_cost(std::ostream& out, double cost) {
+  char buf[32];
+  char* end =
+      std::to_chars(buf, buf + sizeof buf, cost, std::chars_format::general, 6)
+          .ptr;
+  double back = 0.0;
+  std::from_chars(buf, end, back);
+  if (back != cost) end = std::to_chars(buf, buf + sizeof buf, cost).ptr;
+  out.write(buf, end - buf);
+}
+
+}  // namespace
+
 void write_hgr(const Hypergraph& g, std::ostream& out) {
   const bool weighted_nets = !g.unit_net_costs();
   const bool weighted_nodes = !g.unit_node_sizes();
@@ -166,7 +285,10 @@ void write_hgr(const Hypergraph& g, std::ostream& out) {
   if (fmt != 0) out << ' ' << (fmt < 10 ? "1" : (fmt == 10 ? "10" : "11"));
   out << '\n';
   for (NetId n = 0; n < g.num_nets(); ++n) {
-    if (weighted_nets) out << g.net_cost(n) << ' ';
+    if (weighted_nets) {
+      write_cost(out, g.net_cost(n));
+      out << ' ';
+    }
     bool first = true;
     for (const NodeId u : g.pins_of(n)) {
       if (!first) out << ' ';

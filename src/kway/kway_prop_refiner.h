@@ -17,6 +17,7 @@
 // chain's last link is a plain stop (there is no k-way FM to fall back to).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -52,6 +53,11 @@ struct PropMoveRules<KWayState> {
                 std::int64_t size) const noexcept {
     return state.part_size(from) - size >= window.lo &&
            state.part_size(to) + size <= window.hi;
+  }
+  std::int64_t max_move_size(const KWayState& state, NodeId from,
+                             NodeId to) const noexcept {
+    return std::min(state.part_size(from) - window.lo,
+                    window.hi - state.part_size(to));
   }
   double gain(const KWayState& state, NodeId u, NodeId to) const {
     return objective == KWayObjective::kCut ? state.cut_gain(u, to)

@@ -8,6 +8,7 @@
 
 #include "hypergraph/builder.h"
 #include "hypergraph/generator.h"
+#include "testutil.h"
 
 namespace prop {
 namespace {
@@ -92,13 +93,7 @@ TEST(HgrIo, RoundTripPlain) {
   write_hgr(g, out);
   std::istringstream in(out.str());
   const Hypergraph h = read_hgr(in);
-
-  ASSERT_EQ(h.num_nodes(), g.num_nodes());
-  ASSERT_EQ(h.num_nets(), g.num_nets());
-  ASSERT_EQ(h.num_pins(), g.num_pins());
-  for (NetId n = 0; n < g.num_nets(); ++n) {
-    ASSERT_EQ(h.net_size(n), g.net_size(n));
-  }
+  testing::expect_same_graph(g, h);
 }
 
 TEST(HgrIo, RoundTripWeighted) {
@@ -112,8 +107,23 @@ TEST(HgrIo, RoundTripWeighted) {
   write_hgr(g, out);
   std::istringstream in(out.str());
   const Hypergraph h = read_hgr(in);
-  EXPECT_DOUBLE_EQ(h.net_cost(0), 2.0);
-  EXPECT_EQ(h.node_size(2), 7);
+  testing::expect_same_graph(g, h);
+}
+
+TEST(HgrIo, RoundTripKeepsEveryCostBit) {
+  // 1/3 needs 17 significant digits; the writer's default six would lose
+  // it.  Costs that six digits do carry keep their short form.
+  HypergraphBuilder b(3);
+  b.add_net({0, 1}, 1.0 / 3.0);
+  b.add_net({1, 2}, 2.5);
+  b.add_net({0, 2}, 1e-310);
+  const Hypergraph g = std::move(b).build();
+
+  std::ostringstream out;
+  write_hgr(g, out);
+  EXPECT_EQ(out.str(), "3 3 1\n0.3333333333333333 1 2\n2.5 2 3\n1e-310 1 3\n");
+  std::istringstream in(out.str());
+  testing::expect_same_graph(g, read_hgr(in));
 }
 
 TEST(HgrIo, WriterReportsStreamFailure) {
@@ -202,9 +212,7 @@ TEST(HgrIo, RoundTripGeneratedCircuit) {
   write_hgr(g, out);
   std::istringstream in(out.str());
   const Hypergraph h = read_hgr(in);
-  EXPECT_EQ(h.num_nodes(), g.num_nodes());
-  EXPECT_EQ(h.num_nets(), g.num_nets());
-  EXPECT_EQ(h.num_pins(), g.num_pins());
+  testing::expect_same_graph(g, h);
 }
 
 }  // namespace

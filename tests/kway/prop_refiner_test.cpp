@@ -95,5 +95,95 @@ TEST(PropRefiner, KWayStateAtK2ReproducesPartitionMoveForMove) {
   }
 }
 
+/// max_move_size is an exact upper bound of feasible: every feasible size
+/// fits it, and when any size is feasible the bound itself is.
+TEST(PropRefiner, MaxMoveSizeIsTheLargestFeasibleSize) {
+  const Hypergraph g = weighted_circuit(3, /*unit_sizes=*/false);
+  const std::int64_t total = g.total_node_size();
+  Rng rng(3);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::int64_t lo = static_cast<std::int64_t>(rng.bounded(total / 2));
+    const std::int64_t hi = lo + static_cast<std::int64_t>(rng.bounded(total));
+    const BalanceConstraint balance(lo, hi, total);
+    std::vector<std::uint8_t> sides(g.num_nodes());
+    for (auto& s : sides) s = static_cast<std::uint8_t>(rng.bounded(2));
+    const Partition part(g, sides);
+    const PropMoveRules<Partition> two_way{&balance};
+    const KWayState state(g, std::vector<NodeId>(sides.begin(), sides.end()),
+                          2);
+    const PropMoveRules<KWayState> k_way{{lo, hi}, KWayObjective::kCut};
+    for (NodeId from = 0; from < 2; ++from) {
+      const NodeId to = 1 - from;
+      const std::int64_t bound2 = two_way.max_move_size(part, from, to);
+      const std::int64_t boundk = k_way.max_move_size(state, from, to);
+      bool any2 = false;
+      bool anyk = false;
+      for (std::int64_t size = 1; size <= total; ++size) {
+        if (two_way.feasible(part, from, to, size)) {
+          EXPECT_LE(size, bound2);
+          any2 = true;
+        }
+        if (k_way.feasible(state, from, to, size)) {
+          EXPECT_LE(size, boundk);
+          anyk = true;
+        }
+      }
+      if (any2) {
+        EXPECT_TRUE(two_way.feasible(part, from, to, bound2));
+      }
+      if (anyk) {
+        EXPECT_TRUE(k_way.feasible(state, from, to, boundk));
+      }
+    }
+  }
+}
+
+/// The smallest-free-size skip in best_move must not skip a part whose
+/// smallest free node is exactly as large as the bound: here that node is
+/// the only one that may move, and moving it uncuts both nets.
+TEST(PropRefiner, MovesANodeOfExactlyTheBound) {
+  {
+    // Side 0 = {0 (size 3)}, side 1 = {1..4}.  Window [0, 3] on side 0:
+    // node 0 may leave (3 - 3 >= 0), nothing may join side 0 (3 + 1 > 3).
+    HypergraphBuilder b(5);
+    b.set_node_size(0, 3);
+    b.add_net({0, 1});
+    b.add_net({0, 2});
+    b.add_net({3, 4});
+    const Hypergraph g = std::move(b).build();
+    const BalanceConstraint balance(0, 3, g.total_node_size());
+    const std::vector<std::uint8_t> sides{0, 1, 1, 1, 1};
+    Partition part(g, sides);
+    ASSERT_EQ(PropMoveRules<Partition>{&balance}.max_move_size(part, 0, 1),
+              g.node_size(0));
+    const PropConfig config;
+    PropRefiner<Partition> refiner(part, {&balance}, config);
+    EXPECT_EQ(refiner.run_pass(nullptr), 2.0);
+    EXPECT_EQ(part.side(0), 1);
+    EXPECT_EQ(part.cut_cost(), 0.0);
+  }
+  {
+    // k = 3, window [2, 5].  Parts {0, 1} (sizes 3, 3), {2, 3}, {4 (3)}:
+    // nodes 2-4 may not leave (lo), and from part 0 only a size-3 move to
+    // part 1 fits (5 - 2 = 3).
+    HypergraphBuilder b(5);
+    b.set_node_size(0, 3);
+    b.set_node_size(1, 3);
+    b.set_node_size(4, 3);
+    b.add_net({0, 2});
+    b.add_net({0, 3});
+    const Hypergraph g = std::move(b).build();
+    const KWayBalanceWindow window{2, 5};
+    KWayState state(g, {0, 0, 1, 1, 2}, 3);
+    const PropMoveRules<KWayState> rules{window, KWayObjective::kCut};
+    ASSERT_EQ(rules.max_move_size(state, 0, 1), g.node_size(0));
+    const KWayPropConfig config;
+    PropRefiner<KWayState> refiner(state, rules, config);
+    EXPECT_EQ(refiner.run_pass(nullptr), 2.0);
+    EXPECT_EQ(state.part(0), 1u);
+    EXPECT_EQ(state.cut_cost(), 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace prop

@@ -1,6 +1,9 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +43,23 @@ inline Hypergraph small_random_circuit(std::uint64_t seed = 7,
                                        NodeId nodes = 200, NetId nets = 260,
                                        std::size_t pins = 800) {
   return generate_circuit({"small", nodes, nets, pins}, seed);
+}
+
+/// Asserts that `b` is `a` exactly: node and net counts, every net's pins
+/// in order, every net cost and every node size.
+inline void expect_same_graph(const Hypergraph& a, const Hypergraph& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.num_nets(), b.num_nets());
+  for (NetId n = 0; n < a.num_nets(); ++n) {
+    const auto pa = a.pins_of(n);
+    const auto pb = b.pins_of(n);
+    EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
+        << "pins of net " << n;
+    EXPECT_EQ(a.net_cost(n), b.net_cost(n)) << "cost of net " << n;
+  }
+  for (NodeId u = 0; u < a.num_nodes(); ++u) {
+    EXPECT_EQ(a.node_size(u), b.node_size(u)) << "size of node " << u;
+  }
 }
 
 }  // namespace prop::testing

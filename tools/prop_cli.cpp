@@ -51,6 +51,19 @@ int usage(const char* prog) {
                            "algorithms: " + prop::service::algo_names());
 }
 
+/// Closes an output file and reports it: "wrote FILE", or on any failed
+/// open, write or close (a missing directory, a full disk) "error: cannot
+/// write FILE" and false.
+bool finish_write(std::ofstream& f, const std::string& path) {
+  f.close();
+  if (!f) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,20 +285,16 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.max_rollback_depth()));
       }
       std::ofstream f(*stats_json);
-      if (!f) {
-        std::fprintf(stderr, "error: cannot write %s\n", stats_json->c_str());
-        return 1;
-      }
       prop::StatsJsonOptions json_options;
       json_options.include_timing = args.get_bool_or("stats-timing", true);
       prop::write_stats_json(f, g.name(), algo->name(), r, json_options);
       f << '\n';
-      std::printf("wrote %s\n", stats_json->c_str());
+      if (!finish_write(f, *stats_json)) return 1;
     }
     if (const auto out = args.get("out")) {
       std::ofstream f(*out);
       for (const auto side : r.best.side) f << static_cast<int>(side) << '\n';
-      std::printf("wrote %s\n", out->c_str());
+      if (!finish_write(f, *out)) return 1;
     }
     if (!r.status.ok() && session->fail_on_timeout()) {
       std::fprintf(stderr, "error: %s (--on-timeout=fail)\n",
